@@ -53,6 +53,7 @@
 #include "data/generator.h"
 #include "data/mention_extractor.h"
 #include "data/world.h"
+#include "obs/metrics.h"
 #include "serve/batcher.h"
 #include "serve/inference_engine.h"
 #include "serve/metrics.h"
@@ -84,7 +85,7 @@ ScenarioResult RunClosedLoopOnce(
     const std::vector<std::string>& texts,
     const std::function<void(const std::string&)>& issue,
     const serve::ServerCounters* counters) {
-  serve::LatencyHistogram latency;
+  obs::LatencyHistogram latency;
   const auto begin = std::chrono::steady_clock::now();
   std::vector<std::thread> clients;
   clients.reserve(static_cast<size_t>(concurrency));
@@ -161,7 +162,6 @@ ScenarioResult RunEngineScenario(serve::InferenceEngine* engine,
   serve::ServerCounters counters;
   serve::BatcherOptions options;
   options.max_batch = max_batch;
-  options.max_wait_us = max_batch > 1 ? 500 : 0;
   options.max_queue = 1024;
   options.workers = 1;
   core::BootlegModel::InferenceScratch scratch;
@@ -248,7 +248,7 @@ void SendLine(int fd, const std::string& line) {
 /// request-throughput difference.
 void DriveConns(int port, const std::vector<std::string>& lines,
                 int64_t per_conn, int conn_count, int id_base,
-                serve::LatencyHistogram* latency, std::atomic<int64_t>* errors,
+                obs::LatencyHistogram* latency, std::atomic<int64_t>* errors,
                 std::atomic<int>* ready, const std::atomic<bool>* go,
                 std::chrono::steady_clock::time_point* end_out) {
   struct NetConn {
@@ -334,7 +334,7 @@ ScenarioResult RunNetClientsOnce(const std::string& name, int conns,
                                  int64_t per_conn, int port,
                                  const std::vector<std::string>& lines,
                                  const serve::ServerCounters* counters) {
-  serve::LatencyHistogram latency;
+  obs::LatencyHistogram latency;
   std::atomic<int64_t> errors{0};
   const int thread_count = conns >= 4 ? 2 : 1;
   std::atomic<int> ready{0};
@@ -384,10 +384,9 @@ ScenarioResult RunNetScenario(serve::InferenceEngine* engine,
                               int64_t per_conn,
                               const std::vector<std::string>& lines) {
   serve::ServerCounters counters;
-  serve::LatencyHistogram server_latency;
+  obs::LatencyHistogram server_latency;
   serve::BatcherOptions options;
   options.max_batch = kNetMaxBatch;
-  options.max_wait_us = 200;
   options.max_queue = 2048;
   options.workers = 1;
   core::BootlegModel::InferenceScratch scratch;
@@ -403,7 +402,7 @@ ScenarioResult RunNetScenario(serve::InferenceEngine* engine,
                        server_options);
   BOOTLEG_CHECK(server.Start(0).ok());
   {  // Warmup: one connection, one pass over the request pool.
-    serve::LatencyHistogram warmup_latency;
+    obs::LatencyHistogram warmup_latency;
     std::atomic<int64_t> warmup_errors{0};
     std::atomic<int> warmup_ready{0};
     std::atomic<bool> warmup_go{true};

@@ -113,11 +113,12 @@ class Connection : public FdHandler,
     FlushOrSchedule();
   }
 
-  /// True when the idle reaper should disconnect this connection: nothing in
-  /// flight (a slow batch is not the client's fault) and no socket activity
-  /// for `timeout_ms`.
+  /// True when the idle reaper should disconnect this connection: no reply
+  /// owed, neither in flight (a slow batch is not the client's fault) nor
+  /// completed and waiting for its posted flush, and no socket activity for
+  /// `timeout_ms`.
   bool ReapableAt(int64_t now_ms, int64_t timeout_ms) const {
-    return !dead_ && inflight_ == 0 && now_ms - last_activity_ms_ >= timeout_ms;
+    return !dead_ && slots_.empty() && now_ms - last_activity_ms_ >= timeout_ms;
   }
 
   /// Immediate teardown: removes the fd from epoll, closes it, and drops

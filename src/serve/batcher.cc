@@ -191,30 +191,11 @@ void MicroBatcher::WorkerLoop(int worker) {
       continue;               // spurious wake / another worker took the work
     }
 
-    // Coalescing wait: give stragglers until max_wait_us after the oldest
-    // request arrived, unless the batch is already full, a reload or
-    // exclusive task is pending (they apply at batch boundaries and must not
-    // stall up to max_wait_us behind an open window under trickle traffic),
-    // or we are draining.
-    if (!stopping_ && options_.max_wait_us > 0) {
-      const auto deadline =
-          queue_.front().enqueued + std::chrono::microseconds(options_.max_wait_us);
-      cv_.wait_until(lock, deadline, [this] {
-        return stopping_ || reload_requested_ || !exclusive_.empty() ||
-               queue_.empty() ||
-               static_cast<int>(queue_.size()) >= options_.max_batch;
-      });
-      if (queue_.empty()) continue;  // another worker drained it while we slept
-      if (reload_requested_ || !exclusive_.empty()) {
-        // Cut the window short: loop back so the boundary work runs now; the
-        // queued requests keep their arrival times and batch right after.
-        continue;
-      }
-    }
-
-    // Deadline-aware dequeue: expired requests are shed (completed with
-    // DeadlineExceeded, no batch slot) so overload compute goes only to
-    // replies a client is still waiting for.
+    // Work-conserving dispatch: take whatever is queued, up to max_batch, and
+    // run it now. Batches grow only from requests that queued while every
+    // worker was busy. Deadline-aware dequeue: expired requests are shed
+    // (completed with DeadlineExceeded, no batch slot) so overload compute
+    // goes only to replies a client is still waiting for.
     const auto now = std::chrono::steady_clock::now();
     std::vector<Request> batch;
     std::vector<Request> shed;

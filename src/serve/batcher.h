@@ -13,20 +13,17 @@
 #include <thread>
 #include <vector>
 
+#include "obs/metrics.h"
 #include "serve/inference_engine.h"
 #include "serve/metrics.h"
 #include "util/status.h"
 
 namespace bootleg::serve {
 
-/// Policy knobs for dynamic micro-batching.
+/// Policy knobs for work-conserving micro-batching.
 struct BatcherOptions {
-  /// Largest batch one dispatch may coalesce.
+  /// Largest batch one dispatch may take from the queue.
   int max_batch = 8;
-  /// How long the dispatcher waits for the batch to fill once the oldest
-  /// queued request is in hand. 0 = dispatch immediately (no coalescing
-  /// beyond what is already queued).
-  int64_t max_wait_us = 500;
   /// Bounded queue depth; Submit rejects with Unavailable beyond this.
   size_t max_queue = 64;
   /// Consumer threads pulling batches. Each worker owns one preallocated
@@ -35,13 +32,16 @@ struct BatcherOptions {
   int workers = 1;
 };
 
-/// Dynamic micro-batcher: a bounded MPMC queue of single-sentence requests
-/// that worker threads drain in coalesced batches.
+/// Work-conserving micro-batcher: a bounded MPMC queue of single-sentence
+/// requests that worker threads drain in batches.
 ///
-///   - Coalescing: a worker takes up to max_batch requests; if fewer are
-///     queued it waits at most max_wait_us (measured from the oldest queued
-///     request's arrival) for stragglers, then dispatches what it has — the
-///     batch-size/latency trade dial.
+///   - Dispatch: a free worker takes whatever is queued, up to max_batch,
+///     and runs it at once; no worker ever idles while a request waits. A
+///     lone request on an idle server runs alone, without waiting for
+///     siblings. Batches form only from requests that queued while every
+///     worker was busy, so batch size grows with load on its own. There is
+///     no coalescing timer: at saturation the queue already fills batches,
+///     and below it a timer only adds its full window to every request.
 ///   - Backpressure: Submit returns an Unavailable future immediately when
 ///     max_queue requests are already waiting; the connection thread turns
 ///     that into a reject-with-status reply instead of queueing unboundedly.
@@ -137,7 +137,7 @@ class MicroBatcher {
   /// Stops intake, drains every accepted request, joins workers. Idempotent.
   void Shutdown();
 
-  /// Observed maximum coalesced batch size (tests of the coalescing policy).
+  /// Largest batch dispatched so far (tests of the batching policy).
   int64_t max_batch_observed() const;
 
  private:
@@ -157,8 +157,8 @@ class MicroBatcher {
   const ReloadFn reload_fn_;
   ServerCounters* const counters_;
   // Registry-owned (never deallocated), so the raw pointers are always valid.
-  LatencyHistogram* const queue_wait_hist_;
-  LatencyHistogram* const deadline_slack_hist_;
+  obs::LatencyHistogram* const queue_wait_hist_;
+  obs::LatencyHistogram* const deadline_slack_hist_;
   obs::Gauge* const queue_depth_gauge_;
   obs::Counter* const shed_counter_;
 
@@ -175,7 +175,6 @@ class MicroBatcher {
   std::shared_mutex reload_mu_;
 
   std::vector<std::thread> workers_;
-  bool shut_down_ = false;  // guards double Shutdown/join
 };
 
 }  // namespace bootleg::serve

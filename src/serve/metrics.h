@@ -4,14 +4,7 @@
 #include <atomic>
 #include <cstdint>
 
-#include "obs/metrics.h"
-
 namespace bootleg::serve {
-
-/// The serving latency histogram is the process-wide obs instrument; the
-/// alias keeps the historical serve::LatencyHistogram spelling working for
-/// callers and tests.
-using LatencyHistogram = ::bootleg::obs::LatencyHistogram;
 
 /// Counters every serving front end shares. Plain relaxed atomics: the
 /// counters are monotonically increasing and read only for reporting.

@@ -61,7 +61,7 @@ std::string MentionsReply(const SentenceResult& result) {
 }  // namespace
 
 Server::Server(InferenceEngine* engine, MicroBatcher* batcher,
-               ServerCounters* counters, LatencyHistogram* latency,
+               ServerCounters* counters, obs::LatencyHistogram* latency,
                ServerOptions options)
     : engine_(engine),
       batcher_(batcher),
@@ -173,7 +173,7 @@ void Server::HandleDisambiguate(const Json& request, bool raw_text,
   }
 
   const auto start = std::chrono::steady_clock::now();
-  LatencyHistogram* latency = latency_;
+  obs::LatencyHistogram* latency = latency_;
   batcher_->SubmitAsync(
       text->string_value(), raw_text, deadline,
       [latency, start, done = std::move(done)](

@@ -8,6 +8,7 @@
 #include <string>
 
 #include "net/front_end.h"
+#include "obs/metrics.h"
 #include "serve/batcher.h"
 #include "serve/inference_engine.h"
 #include "serve/metrics.h"
@@ -71,7 +72,7 @@ struct ServerOptions {
 class Server : public net::LineHandler {
  public:
   Server(InferenceEngine* engine, MicroBatcher* batcher,
-         ServerCounters* counters, LatencyHistogram* latency,
+         ServerCounters* counters, obs::LatencyHistogram* latency,
          ServerOptions options = {});
   ~Server() override;
 
@@ -127,7 +128,7 @@ class Server : public net::LineHandler {
   InferenceEngine* const engine_;
   MicroBatcher* const batcher_;
   ServerCounters* const counters_;
-  LatencyHistogram* const latency_;
+  obs::LatencyHistogram* const latency_;
   const ServerOptions options_;
   std::function<void()> poll_hook_;
 

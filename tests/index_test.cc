@@ -27,6 +27,7 @@
 #include "index/live_index.h"
 #include "kb/candidate_map.h"
 #include "kb/kb.h"
+#include "obs/metrics.h"
 #include "serve/batcher.h"
 #include "serve/inference_engine.h"
 #include "serve/json.h"
@@ -662,7 +663,7 @@ TEST(LiveIndexTest, AutoCompactionFiresAtWatermarkAndKeepsServing) {
 struct IndexServerUnderTest {
   std::unique_ptr<serve::InferenceEngine> engine;
   serve::ServerCounters counters;
-  serve::LatencyHistogram latency;
+  obs::LatencyHistogram latency;
   core::BootlegModel::InferenceScratch scratch;
   std::unique_ptr<serve::MicroBatcher> batcher;
   std::unique_ptr<serve::Server> server;

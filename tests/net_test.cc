@@ -573,7 +573,6 @@ std::string CodeOf(const std::string& reply) {
 TEST(ServerDeadlineTest, QueuedRequestsPastDeadlineAreShed) {
   serve::BatcherOptions options;
   options.max_batch = 1;
-  options.max_wait_us = 0;
   options.max_queue = 64;
   GatedBatch gate;
   serve::ServerCounters counters;
@@ -630,7 +629,6 @@ TEST(ServerDeadlineTest, InvalidDeadlineIsBadRequest) {
 TEST(ServerAdmissionTest, WatermarkRejectsWithOverloaded) {
   serve::BatcherOptions options;
   options.max_batch = 1;
-  options.max_wait_us = 0;
   options.max_queue = 64;
   GatedBatch gate;
   serve::ServerCounters counters;

@@ -1,9 +1,10 @@
 // Serving subsystem: batched engine inference must match the serial
 // evaluator path bit-for-bit at any batch size and thread count, the
-// micro-batcher must coalesce / flush / backpressure / drain exactly as
-// specified, the LRU candidate cache must evict and count correctly,
-// malformed client bytes must never crash the server, and hot reload must
-// pick the newest checkpoint while skipping corrupt ones.
+// micro-batcher must dispatch without waiting / coalesce what queued /
+// backpressure / drain exactly as specified, the LRU candidate cache must
+// evict and count correctly, malformed client bytes must never crash the
+// server, and hot reload must pick the newest checkpoint while skipping
+// corrupt ones.
 
 #include <arpa/inet.h>
 #include <netinet/in.h>
@@ -34,6 +35,7 @@
 #include "eval/evaluator.h"
 #include "kb/candidate_map.h"
 #include "nn/optimizer.h"
+#include "obs/metrics.h"
 #include "serve/batcher.h"
 #include "serve/candidate_cache.h"
 #include "serve/inference_engine.h"
@@ -410,7 +412,6 @@ TEST(MicroBatcherTest, CoalescesQueuedRequestsIntoOneBatch) {
   PluggableBackend backend;
   serve::BatcherOptions options;
   options.max_batch = 4;
-  options.max_wait_us = 0;  // take whatever is queued, no straggler wait
   options.workers = 1;
   serve::MicroBatcher batcher(options, backend.Fn(), nullptr, &counters);
 
@@ -440,31 +441,42 @@ TEST(MicroBatcherTest, CoalescesQueuedRequestsIntoOneBatch) {
   EXPECT_DOUBLE_EQ(counters.MeanBatchSize(), 2.5);
 }
 
-TEST(MicroBatcherTest, MaxWaitFlushesPartialBatch) {
+// Work-conserving dispatch: on an idle server a request runs the moment a
+// worker is free, alone, without waiting for siblings that never come.
+TEST(MicroBatcherTest, LoneRequestsDispatchImmediatelyOnDefaults) {
+  using Clock = std::chrono::steady_clock;
   serve::ServerCounters counters;
-  std::vector<size_t> batch_sizes;
   std::mutex mu;
-  serve::BatcherOptions options;
-  options.max_batch = 8;
-  options.max_wait_us = 2000;  // well under the test timeout
-  options.workers = 1;
+  std::vector<size_t> batch_sizes;
+  Clock::time_point entered;
   serve::MicroBatcher batcher(
-      options,
+      serve::BatcherOptions(),
       [&](const std::vector<serve::BatchItem>& items, int) {
         std::lock_guard<std::mutex> lock(mu);
+        entered = Clock::now();
         batch_sizes.push_back(items.size());
         return EchoBatch(items);
       },
       nullptr, &counters);
 
-  // A lone request must not wait for 7 siblings that never come.
-  auto future = batcher.Submit("solo");
-  ASSERT_EQ(future.wait_for(std::chrono::seconds(10)),
-            std::future_status::ready);
-  ASSERT_TRUE(future.get().ok());
+  constexpr int kRequests = 50;
+  Clock::duration fastest = Clock::duration::max();
+  for (int i = 0; i < kRequests; ++i) {
+    const Clock::time_point submitted = Clock::now();
+    auto future = batcher.Submit(RequestName(i));
+    ASSERT_EQ(future.wait_for(std::chrono::seconds(10)),
+              std::future_status::ready);
+    ASSERT_TRUE(future.get().ok());
+    std::lock_guard<std::mutex> lock(mu);
+    fastest = std::min(fastest, entered - submitted);
+  }
   batcher.Shutdown();
-  ASSERT_EQ(batch_sizes.size(), 1u);
-  EXPECT_EQ(batch_sizes[0], 1u);
+
+  ASSERT_EQ(batch_sizes.size(), static_cast<size_t>(kRequests));
+  for (size_t size : batch_sizes) EXPECT_EQ(size, 1u);
+  // The best case is a thread wake-up, far below any coalescing window.
+  EXPECT_LT(std::chrono::duration_cast<std::chrono::microseconds>(fastest),
+            std::chrono::microseconds(400));
 }
 
 TEST(MicroBatcherTest, BackpressureRejectsWhenQueueFull) {
@@ -472,7 +484,6 @@ TEST(MicroBatcherTest, BackpressureRejectsWhenQueueFull) {
   PluggableBackend backend;
   serve::BatcherOptions options;
   options.max_batch = 1;
-  options.max_wait_us = 0;
   options.max_queue = 2;
   options.workers = 1;
   serve::MicroBatcher batcher(options, backend.Fn(), nullptr, &counters);
@@ -503,7 +514,6 @@ TEST(MicroBatcherTest, ShutdownDrainsAcceptedRequests) {
   std::atomic<int64_t> processed{0};
   serve::BatcherOptions options;
   options.max_batch = 2;
-  options.max_wait_us = 0;
   options.workers = 1;
   serve::MicroBatcher batcher(
       options,
@@ -567,76 +577,6 @@ TEST(MicroBatcherTest, ReloadRunsAtBatchBoundaryAndFailureIsNonFatal) {
   batcher.Shutdown();
 }
 
-// Regression: the coalescing wait_until predicate used to ignore pending
-// exclusive tasks, so a live-add submitted mid-window under trickle traffic
-// stalled until max_wait_us elapsed. It must preempt the window instead.
-TEST(MicroBatcherTest, ExclusiveSubmittedMidWindowPreemptsCoalescingWait) {
-  serve::ServerCounters counters;
-  serve::BatcherOptions options;
-  options.max_batch = 8;
-  options.max_wait_us = 2000000;  // 2s window; the test must not wait it out
-  options.workers = 1;
-  serve::MicroBatcher batcher(
-      options,
-      [](const std::vector<serve::BatchItem>& items, int) {
-        return EchoBatch(items);
-      },
-      nullptr, &counters);
-
-  // One request far below max_batch opens a coalescing window.
-  auto trickle = batcher.Submit("trickle");
-  std::this_thread::sleep_for(std::chrono::milliseconds(50));
-
-  const auto start = std::chrono::steady_clock::now();
-  std::promise<util::Status> done;
-  batcher.SubmitExclusive([] { return util::Status::OK(); },
-                          [&](util::Status st) { done.set_value(std::move(st)); });
-  auto done_future = done.get_future();
-  ASSERT_EQ(done_future.wait_for(std::chrono::seconds(10)),
-            std::future_status::ready);
-  EXPECT_TRUE(done_future.get().ok());
-  const auto elapsed = std::chrono::steady_clock::now() - start;
-  EXPECT_LT(std::chrono::duration_cast<std::chrono::milliseconds>(elapsed),
-            std::chrono::milliseconds(500))
-      << "exclusive task waited out the coalescing window";
-  batcher.Shutdown();  // flushes the open window and drains `trickle`
-  EXPECT_TRUE(trickle.get().ok());
-}
-
-// Regression (same predicate bug, reload flavor): a SIGHUP reload requested
-// while a coalescing window is open must apply at that boundary, not wait
-// for the window to expire.
-TEST(MicroBatcherTest, ReloadRequestedMidWindowPreemptsCoalescingWait) {
-  serve::ServerCounters counters;
-  serve::BatcherOptions options;
-  options.max_batch = 8;
-  options.max_wait_us = 2000000;
-  options.workers = 1;
-  serve::MicroBatcher batcher(
-      options,
-      [](const std::vector<serve::BatchItem>& items, int) {
-        return EchoBatch(items);
-      },
-      [] { return util::Status::OK(); }, &counters);
-
-  auto trickle = batcher.Submit("trickle");
-  std::this_thread::sleep_for(std::chrono::milliseconds(50));
-
-  const auto start = std::chrono::steady_clock::now();
-  batcher.RequestReload();
-  while (counters.reloads.load() < 1 &&
-         std::chrono::steady_clock::now() - start < std::chrono::seconds(10)) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(2));
-  }
-  const auto elapsed = std::chrono::steady_clock::now() - start;
-  EXPECT_EQ(counters.reloads.load(), 1);
-  EXPECT_LT(std::chrono::duration_cast<std::chrono::milliseconds>(elapsed),
-            std::chrono::milliseconds(500))
-      << "reload waited out the coalescing window";
-  batcher.Shutdown();
-  EXPECT_TRUE(trickle.get().ok());
-}
-
 // Regression: door-shed and queue-full arrivals used to be invisible in
 // `requests`, breaking the stats accounting. Every arrival must count, so
 // requests == rejected + shed + served holds across all outcomes.
@@ -645,7 +585,6 @@ TEST(MicroBatcherTest, ArrivalAccountingInvariantHoldsAcrossOutcomes) {
   PluggableBackend backend;
   serve::BatcherOptions options;
   options.max_batch = 1;
-  options.max_wait_us = 0;
   options.max_queue = 2;
   options.workers = 1;
   serve::MicroBatcher batcher(options, backend.Fn(), nullptr, &counters);
@@ -702,7 +641,6 @@ TEST(MicroBatcherTest, MidComputeAbandonmentShedsAndCountsReclaims) {
   serve::ServerCounters counters;
   serve::BatcherOptions options;
   options.max_batch = 4;
-  options.max_wait_us = 0;
   options.workers = 1;
   serve::MicroBatcher batcher(
       options,
@@ -830,7 +768,7 @@ TEST(CandidateCacheTest, MissServesCanonicalEntryAndCountersUnchanged) {
 // --- Latency histogram -------------------------------------------------------
 
 TEST(LatencyHistogramTest, PercentilesCountsAndBucketBounds) {
-  serve::LatencyHistogram h;
+  obs::LatencyHistogram h;
   EXPECT_EQ(h.PercentileUs(0.5), 0);  // empty
   for (int i = 1; i <= 1000; ++i) h.Record(i);
   EXPECT_EQ(h.count(), 1000);
@@ -846,9 +784,9 @@ TEST(LatencyHistogramTest, PercentilesCountsAndBucketBounds) {
   EXPECT_LE(p99, 2000);   // within one 1-2-5 bucket of 1000µs
   // Strictly increasing bounds, except the overflow bucket, which reports
   // its lower edge.
-  for (int i = 1; i + 1 < serve::LatencyHistogram::kNumBuckets; ++i) {
-    EXPECT_GT(serve::LatencyHistogram::BucketBoundUs(i),
-              serve::LatencyHistogram::BucketBoundUs(i - 1));
+  for (int i = 1; i + 1 < obs::LatencyHistogram::kNumBuckets; ++i) {
+    EXPECT_GT(obs::LatencyHistogram::BucketBoundUs(i),
+              obs::LatencyHistogram::BucketBoundUs(i - 1));
   }
 }
 
@@ -933,7 +871,7 @@ TEST(JsonTest, OversizedStringsAreRejectedNotAllocated) {
 struct ServerUnderTest {
   std::unique_ptr<serve::InferenceEngine> engine;
   serve::ServerCounters counters;
-  serve::LatencyHistogram latency;
+  obs::LatencyHistogram latency;
   core::BootlegModel::InferenceScratch scratch;
   std::unique_ptr<serve::MicroBatcher> batcher;
   std::unique_ptr<serve::Server> server;
@@ -1136,7 +1074,6 @@ std::string RequestOverSocket(int fd, const std::string& line) {
 TEST(ServeServerTest, TcpServesConcurrentClients) {
   serve::BatcherOptions options;
   options.max_batch = 8;
-  options.max_wait_us = 200;
   options.max_queue = 256;
   ServerUnderTest sut(options);
   ASSERT_TRUE(sut.server->Start(0).ok());
@@ -1305,7 +1242,6 @@ TEST(ServeStressTest, ConcurrentClientsWithHotReloadStayConsistent) {
   serve::ServerCounters counters;
   serve::BatcherOptions options;
   options.max_batch = 8;
-  options.max_wait_us = 200;
   options.max_queue = 256;
   options.workers = 2;
   std::vector<core::BootlegModel::InferenceScratch> scratch(2);

@@ -7,7 +7,6 @@
 //                 [--port N]          TCP on 127.0.0.1:N (0 = ephemeral)
 //                 [--stdin]           serve stdin/stdout instead of TCP
 //                 [--max_batch N]     micro-batch size cap          (default 8)
-//                 [--max_wait_us N]   coalescing wait               (default 500)
 //                 [--max_queue N]     bounded queue depth           (default 64)
 //                 [--workers N]       batch worker threads          (default 1)
 //                 [--io_threads N]    epoll event loops             (default 1)
@@ -48,6 +47,9 @@
 //                                     ref, simd_q8 serves block-int8 weights)
 //                 [--no_trace]        disable per-stage trace spans
 //
+// Any other --flag is an error (exit 2): a typo or a retired flag must not
+// fall back to defaults silently.
+//
 // Protocol: newline-delimited JSON; ops disambiguate / disambiguate_text
 // (raw text: sentence-split and mention-extracted server-side, mentions
 // carry document-level spans plus a sentence index) / health / stats /
@@ -63,8 +65,10 @@
 #include <cstring>
 #include <iostream>
 #include <map>
+#include <set>
 #include <string>
 
+#include "obs/metrics.h"
 #include "obs/trace.h"
 #include "serve/batcher.h"
 #include "serve/inference_engine.h"
@@ -81,8 +85,13 @@ volatile std::sig_atomic_t g_shutdown_requested = 0;
 void OnSighup(int) { g_reload_requested = 1; }
 void OnTerm(int) { g_shutdown_requested = 1; }
 
+constexpr char kUsage[] =
+    "usage: bootleg_serve --data DIR (--model PATH | --checkpoint_dir DIR) "
+    "[--port N | --stdin]\n";
+
 /// Same minimal --flag parser as bootleg_cli, minus the subcommand slot.
-/// Accepts both `--flag value` and `--flag=value`.
+/// Accepts both `--flag value` and `--flag=value`. Remembers which keys were
+/// read, so main can reject the ones it never asked for.
 class Flags {
  public:
   Flags(int argc, char** argv) {
@@ -103,21 +112,35 @@ class Flags {
     }
   }
   std::string Get(const std::string& key, const std::string& fallback = "") const {
-    auto it = values_.find(key);
+    auto it = Find(key);
     return it == values_.end() ? fallback : it->second;
   }
   int64_t GetInt(const std::string& key, int64_t fallback) const {
-    auto it = values_.find(key);
+    auto it = Find(key);
     return it == values_.end() ? fallback : std::atoll(it->second.c_str());
   }
   double GetDouble(const std::string& key, double fallback) const {
-    auto it = values_.find(key);
+    auto it = Find(key);
     return it == values_.end() ? fallback : std::atof(it->second.c_str());
   }
-  bool Has(const std::string& key) const { return values_.count(key) > 0; }
+  bool Has(const std::string& key) const { return Find(key) != values_.end(); }
+  /// A flag on the command line that no getter has read yet ("" if none).
+  std::string FirstUnread() const {
+    for (const auto& [key, value] : values_) {
+      if (read_.count(key) == 0) return key;
+    }
+    return "";
+  }
 
  private:
+  std::map<std::string, std::string>::const_iterator Find(
+      const std::string& key) const {
+    read_.insert(key);
+    return values_.find(key);
+  }
+
   std::map<std::string, std::string> values_;
+  mutable std::set<std::string> read_;
 };
 
 }  // namespace
@@ -127,16 +150,10 @@ int main(int argc, char** argv) {
   // Spans feed the stats op's per-stage breakdown; --no_trace turns the
   // clock reads off (span scopes then cost one atomic load + branch).
   obs::Trace::Enable(!flags.Has("no_trace"));
-  const std::string data = flags.Get("data");
-  if (data.empty()) {
-    std::fprintf(stderr,
-                 "usage: bootleg_serve --data DIR (--model PATH | "
-                 "--checkpoint_dir DIR) [--port N | --stdin]\n");
-    return 2;
-  }
-
+  // Every other flag is read here too, before the model loads, so a bad
+  // command line fails fast.
   serve::EngineOptions engine_options;
-  engine_options.data_dir = data;
+  engine_options.data_dir = flags.Get("data");
   engine_options.model_path = flags.Get("model");
   engine_options.checkpoint_dir = flags.Get("checkpoint_dir");
   engine_options.store_dir = flags.Get("store_dir");
@@ -151,6 +168,37 @@ int main(int argc, char** argv) {
   engine_options.compact_chain_depth = flags.GetInt("compact_chain_depth", 0);
   engine_options.char_fallback = flags.Has("char_fallback");
 
+  serve::BatcherOptions batcher_options;
+  batcher_options.max_batch = static_cast<int>(flags.GetInt("max_batch", 8));
+  batcher_options.max_queue =
+      static_cast<size_t>(flags.GetInt("max_queue", 64));
+  batcher_options.workers = static_cast<int>(flags.GetInt("workers", 1));
+
+  serve::ServerOptions server_options;
+  server_options.io_threads = static_cast<int>(flags.GetInt("io_threads", 1));
+  server_options.max_conns = static_cast<int>(flags.GetInt("max_conns", 4096));
+  server_options.admission_watermark =
+      static_cast<size_t>(flags.GetInt("admission_watermark", 0));
+  server_options.max_line_bytes =
+      static_cast<size_t>(flags.GetInt("max_line_bytes", 1 << 20));
+  server_options.write_buf_bytes =
+      static_cast<size_t>(flags.GetInt("write_buf_bytes", 4 << 20));
+  server_options.idle_timeout_ms =
+      static_cast<int>(flags.GetInt("idle_timeout_ms", 0));
+
+  const bool use_stdin = flags.Has("stdin");
+  const int port = static_cast<int>(flags.GetInt("port", 0));
+
+  const std::string unknown = flags.FirstUnread();
+  if (!unknown.empty()) {
+    std::fprintf(stderr, "unknown flag --%s\n%s", unknown.c_str(), kUsage);
+    return 2;
+  }
+  if (engine_options.data_dir.empty()) {
+    std::fputs(kUsage, stderr);
+    return 2;
+  }
+
   auto engine_or = serve::InferenceEngine::Create(engine_options);
   if (!engine_or.ok()) {
     std::fprintf(stderr, "error: %s\n", engine_or.status().ToString().c_str());
@@ -159,15 +207,8 @@ int main(int argc, char** argv) {
   serve::InferenceEngine& engine = *engine_or.value();
   std::fprintf(stderr, "serving model %s\n", engine.loaded_path().c_str());
 
-  serve::BatcherOptions batcher_options;
-  batcher_options.max_batch = static_cast<int>(flags.GetInt("max_batch", 8));
-  batcher_options.max_wait_us = flags.GetInt("max_wait_us", 500);
-  batcher_options.max_queue =
-      static_cast<size_t>(flags.GetInt("max_queue", 64));
-  batcher_options.workers = static_cast<int>(flags.GetInt("workers", 1));
-
   serve::ServerCounters counters;
-  serve::LatencyHistogram latency;
+  obs::LatencyHistogram latency;
 
   // One preallocated scratch per batch worker, reused across batches.
   std::vector<core::BootlegModel::InferenceScratch> scratch(
@@ -181,18 +222,6 @@ int main(int argc, char** argv) {
                                         &scratch[static_cast<size_t>(worker)]);
       },
       [&engine] { return engine.Reload(); }, &counters);
-
-  serve::ServerOptions server_options;
-  server_options.io_threads = static_cast<int>(flags.GetInt("io_threads", 1));
-  server_options.max_conns = static_cast<int>(flags.GetInt("max_conns", 4096));
-  server_options.admission_watermark =
-      static_cast<size_t>(flags.GetInt("admission_watermark", 0));
-  server_options.max_line_bytes =
-      static_cast<size_t>(flags.GetInt("max_line_bytes", 1 << 20));
-  server_options.write_buf_bytes =
-      static_cast<size_t>(flags.GetInt("write_buf_bytes", 4 << 20));
-  server_options.idle_timeout_ms =
-      static_cast<int>(flags.GetInt("idle_timeout_ms", 0));
 
   serve::Server server(&engine, &batcher, &counters, &latency, server_options);
   server.SetPollHook([&batcher] {
@@ -212,14 +241,13 @@ int main(int argc, char** argv) {
   sigaction(SIGTERM, &st, nullptr);
   std::signal(SIGPIPE, SIG_IGN);
 
-  if (flags.Has("stdin")) {
+  if (use_stdin) {
     server.RunStdio(std::cin, std::cout);
     batcher.Shutdown();  // graceful drain of anything still queued
     return 0;
   }
 
-  const util::Status st_start =
-      server.Start(static_cast<int>(flags.GetInt("port", 0)));
+  const util::Status st_start = server.Start(port);
   if (!st_start.ok()) {
     std::fprintf(stderr, "error: %s\n", st_start.ToString().c_str());
     return 1;

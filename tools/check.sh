@@ -4,7 +4,8 @@
 #
 #   1. Release build + complete ctest suite (tier-1 gate).
 #   2. ASan build: corruption fuzzing, checkpoint/resume, io, parallel,
-#      serve, backend equivalence.
+#      serve, backend equivalence; UBSan build: serve + net (request
+#      parsing, batching and framing of untrusted bytes).
 #   3. TSan build: checkpointed data-parallel training + parallel + serve +
 #      backend equivalence.
 #   4. CLI crash-recovery drill: train with checkpointing, kill the run
@@ -14,7 +15,7 @@
 #   5. Serve smoke drill: bring up bootleg_serve on the tiny model from (4),
 #      drive it over stdin and TCP with concurrent clients (malformed lines
 #      included), assert stats are sane, hot-reload via SIGHUP, and verify a
-#      clean SIGTERM shutdown.
+#      clean SIGTERM shutdown. An unknown flag must exit 2.
 #   6. Observability self-check: metrics/trace unit tests, the stats op must
 #      export the metrics registry (queue-wait histogram included) and
 #      per-stage spans covering a request end to end, and `train --trace_out`
@@ -85,6 +86,14 @@ if [[ "$SKIP_SAN" == "0" ]]; then
            net_test index_test robust_test; do
     echo "  asan: $t"
     ./build-asan/tests/"$t" >/dev/null
+  done
+
+  echo "==> [2/12] UBSan: serve + net"
+  cmake -B build-ubsan -S . -DBOOTLEG_SANITIZE=undefined >/dev/null
+  cmake --build build-ubsan -j"$JOBS" --target serve_test net_test >/dev/null
+  for t in serve_test net_test; do
+    echo "  ubsan: $t"
+    UBSAN_OPTIONS=print_stacktrace=1 ./build-ubsan/tests/"$t" >/dev/null
   done
 
   echo "==> [3/12] TSan: checkpointed parallel training + serving under load"
@@ -171,6 +180,17 @@ echo "$STDIN_OUT" | sed -n 4p | grep -q '"ok": *false' \
 echo "$STDIN_OUT" | sed -n 5p \
   | grep -q '"errors": *2.*"p50_us"' \
   || { echo "FAIL: stdin serve: stats missing error count or latency"; exit 1; }
+
+# --- Unknown flags: a retired or misspelled flag fails loudly. -------------
+set +e
+"$SERVE" --data "$WORK/data" --model "$WORK/ref.bin" --stdin \
+  --max_wait_us 500 </dev/null >/dev/null 2>"$WORK/unknown_flag.log"
+UNKNOWN_RC=$?
+set -e
+[[ "$UNKNOWN_RC" == "2" ]] \
+  || { echo "FAIL: serve: --max_wait_us exited $UNKNOWN_RC, want 2"; exit 1; }
+grep -q 'unknown flag --max_wait_us' "$WORK/unknown_flag.log" \
+  || { echo "FAIL: serve: unknown flag not named on stderr"; exit 1; }
 
 # --- TCP transport: concurrent clients, SIGHUP hot-reload, clean SIGTERM. ---
 "$SERVE" --data "$WORK/data" --checkpoint_dir "$WORK/ckpt_ref" --port 0 \
@@ -377,7 +397,7 @@ echo "==> [9/12] overload drill: admission control, deadline shedding, hostile c
 DRILL=./build/tools/overload_drill
 
 "$SERVE" --data "$WORK/data" --model "$WORK/ref.bin" --port 0 \
-  --max_batch 8 --max_wait_us 200 --max_queue 32 --workers 1 \
+  --max_batch 8 --max_queue 32 --workers 1 \
   --io_threads 2 --max_conns 256 --admission_watermark 24 \
   --max_line_bytes 65536 --write_buf_bytes 65536 \
   2>"$WORK/serve_overload.log" &

@@ -4,7 +4,6 @@
 // generation, and end-to-end Bootleg sentence inference.
 #include <benchmark/benchmark.h>
 
-#include "backend/backend.h"
 #include "core/model.h"
 #include "core/trainer.h"
 #include "data/generator.h"
@@ -31,8 +30,8 @@ void BM_MatMul(benchmark::State& state) {
 }
 BENCHMARK(BM_MatMul)->Arg(32)->Arg(64)->Arg(128);
 
-// Pre-rewrite naive kernel, kept as the speedup baseline for the blocked
-// production MatMul above.
+// Pre-rewrite naive kernel, kept as the speedup baseline for the production
+// MatMul above (the SIMD tiles wherever the probe selects them).
 void BM_MatMulReference(benchmark::State& state) {
   const int64_t n = state.range(0);
   util::Rng rng(1);
@@ -44,47 +43,6 @@ void BM_MatMulReference(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * n * n * n);
 }
 BENCHMARK(BM_MatMulReference)->Arg(32)->Arg(64)->Arg(128);
-
-// Per-backend inference MatMul. Single-thread on purpose: the backend
-// speedup criterion is per-core, and the SIMD kernels parallelize with the
-// same row partition as the reference so the ratio carries to any pool size.
-void BM_BackendMatMul(benchmark::State& state, const char* spec) {
-  const int64_t n = state.range(0);
-  util::Rng rng(1);
-  tensor::Tensor a = tensor::Tensor::Randn({n, n}, &rng);
-  tensor::Tensor b = tensor::Tensor::Randn({n, n}, &rng);
-  auto be = backend::Backend::Create(spec).value();
-  util::ThreadPool::ResetGlobal(1);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(be->MatMul(a, b));
-  }
-  state.SetItemsProcessed(state.iterations() * n * n * n);
-  util::ThreadPool::ResetGlobal(util::ThreadPool::EnvThreads());
-}
-BENCHMARK_CAPTURE(BM_BackendMatMul, ref, "ref")->Arg(32)->Arg(64)->Arg(128);
-BENCHMARK_CAPTURE(BM_BackendMatMul, simd, "simd")->Arg(32)->Arg(64)->Arg(128);
-
-// Per-backend affine layer (x @ W + bias), the shape the q8 backend
-// quantizes: simd_q8 runs int8 x int8 dot products against its packed
-// weights, ref and simd run the float kernels.
-void BM_BackendLinear(benchmark::State& state, const char* spec) {
-  const int64_t n = state.range(0);
-  util::Rng rng(1);
-  tensor::Tensor x = tensor::Tensor::Randn({64, n}, &rng);
-  tensor::Tensor w = tensor::Tensor::Randn({n, n}, &rng);
-  tensor::Tensor bias = tensor::Tensor::Randn({n}, &rng);
-  auto be = backend::Backend::Create(spec).value();
-  be->LoadModel({{"bench_linear", &w, &bias}});
-  util::ThreadPool::ResetGlobal(1);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(be->LinearForward(x, w, bias));
-  }
-  state.SetItemsProcessed(state.iterations() * 64 * n * n);
-  util::ThreadPool::ResetGlobal(util::ThreadPool::EnvThreads());
-}
-BENCHMARK_CAPTURE(BM_BackendLinear, ref, "ref")->Arg(64)->Arg(128);
-BENCHMARK_CAPTURE(BM_BackendLinear, simd, "simd")->Arg(64)->Arg(128);
-BENCHMARK_CAPTURE(BM_BackendLinear, simd_q8, "simd_q8")->Arg(64)->Arg(128);
 
 void BM_SoftmaxRows(benchmark::State& state) {
   const int64_t n = state.range(0);

@@ -17,8 +17,6 @@
 //   - int8 gather+dequant fusion: ns/row for the pre-fusion scalar
 //     store::DequantizeRow loop vs the fused SIMD backend::DequantRow the
 //     int8 view's GatherRow now runs; the acceptance bar is <=12 ns/row fused
-//   - per-backend serve pass: the same PredictExamples batch under the
-//     ref, simd and simd_q8 inference backends (heap store)
 //   - live index mutation: AddEntityLive latency (induce + publish a chained
 //     generation + in-process adopt) and time_to_first_correct_serve (the
 //     wall time from the add_entity call until a Disambiguate reply resolves
@@ -375,20 +373,18 @@ int main(int argc, char** argv) {
                       .ok());
   }
 
-  const auto make_engine = [&](const std::string& store_dir,
-                               const std::string& backend_spec) {
+  const auto make_engine = [&](const std::string& store_dir) {
     serve::EngineOptions options;
     options.data_dir = data_dir;
     options.model_path = data_dir + "/model.bin";
     options.store_dir = store_dir;
-    options.backend = backend_spec;
     auto engine = serve::InferenceEngine::Create(options);
     BOOTLEG_CHECK_MSG(engine.ok(), engine.status().ToString());
     return std::move(engine.value());
   };
-  auto heap_engine = make_engine("", "ref");
-  auto float_engine = make_engine(work_dir + "/serve_float", "ref");
-  auto int8_engine = make_engine(work_dir + "/serve_int8", "ref");
+  auto heap_engine = make_engine("");
+  auto float_engine = make_engine(work_dir + "/serve_float");
+  auto int8_engine = make_engine(work_dir + "/serve_int8");
 
   data::ExampleBuilder builder(&world.candidates, &world.vocab);
   data::ExampleOptions example_options;
@@ -418,29 +414,12 @@ int main(int argc, char** argv) {
               batch.size(), heap_pass * 1e3, float_overhead_pct,
               int8_overhead_pct);
 
-  // --- Per-backend serve path (heap store, backend varies) ------------------
-  auto simd_engine = make_engine("", "simd");
-  auto q8_engine = make_engine("", "simd_q8");
-  TimePredictPass(simd_engine.get(), batch, &scratch);  // warmup
-  TimePredictPass(q8_engine.get(), batch, &scratch);
-  std::vector<double> simd_s, q8_s;
-  for (int r = 0; r < 9; ++r) {
-    simd_s.push_back(TimePredictPass(simd_engine.get(), batch, &scratch));
-    q8_s.push_back(TimePredictPass(q8_engine.get(), batch, &scratch));
-  }
-  const double simd_pass = MedianOf(simd_s);
-  const double q8_pass = MedianOf(q8_s);
-  std::printf("backend serve pass: ref %.1f ms, simd %.1f ms (%.2fx), "
-              "simd_q8 %.1f ms (%.2fx)\n",
-              heap_pass * 1e3, simd_pass * 1e3, heap_pass / simd_pass,
-              q8_pass * 1e3, heap_pass / q8_pass);
-
   // --- Live index mutation: delta publish + time to first correct serve -----
   const std::string delta_root = work_dir + "/delta_root";
   std::filesystem::create_directories(delta_root);
   std::filesystem::copy(work_dir + "/serve_float", delta_root + "/gen_000001",
                         std::filesystem::copy_options::recursive);
-  auto delta_engine = make_engine(delta_root, "ref");
+  auto delta_engine = make_engine(delta_root);
 
   // Borrow an existing entity's structural signals — the paper's unseen-tail
   // premise: a new entity arrives with known types and relations.
@@ -548,8 +527,6 @@ int main(int argc, char** argv) {
       "\"resident_bytes\": %lld, \"minor_faults\": %ld}},\n"
       "  \"serve_pass\": {\"sentences\": %zu, \"heap_ms\": %.3f, "
       "\"float_store_overhead_pct\": %.3f, \"int8_store_overhead_pct\": %.3f},\n"
-      "  \"backend_serve_pass\": {\"ref_ms\": %.3f, \"simd_ms\": %.3f, "
-      "\"simd_q8_ms\": %.3f, \"simd_speedup_x\": %.3f},\n"
       "  \"store_delta\": {\"adds\": %d, \"add_entity_ms\": %.3f, "
       "\"time_to_first_correct_serve_ms\": %.3f, \"chain_depth\": %lld, "
       "\"chain_gather_ns_per_row\": %.2f, \"compact_ms\": %.3f, "
@@ -571,9 +548,8 @@ int main(int argc, char** argv) {
       res_unmanaged.p50_ns_row, res_unmanaged.p99_ns_row,
       static_cast<long long>(res_unmanaged.resident_bytes),
       res_unmanaged.minor_faults, batch.size(), heap_pass * 1e3,
-      float_overhead_pct,
-      int8_overhead_pct, heap_pass * 1e3, simd_pass * 1e3, q8_pass * 1e3,
-      heap_pass / simd_pass, kAdds, add_median_ms, first_serve_median_ms,
+      float_overhead_pct, int8_overhead_pct, kAdds, add_median_ms,
+      first_serve_median_ms,
       static_cast<long long>(chain_depth), chain_gather_ns, compact_ms,
       flat_gather_ns);
   std::ofstream f(out_path);

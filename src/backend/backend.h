@@ -1,111 +1,34 @@
-// The inference-backend seam: a virtual interface owning the frozen-inference
-// compute cores (the `forward` surface), the frozen-weight registration hook
-// (`load_model`), and observability (`stats`).
-//
-// Three implementations ship:
-//   * "ref"     — ReferenceBackend, a thin shim over the tensor:: kernels.
-//                 Bit-identical to the pre-backend code paths by construction;
-//                 the permanent oracle every other backend is tested against.
-//   * "simd"    — SimdBackend, runtime-dispatched AVX2/FMA kernels. At
-//                 construction it probes its kernels for bit-identity against
-//                 the reference kernels and permanently delegates to them if
-//                 the probe fails (portable builds, sanitizer builds, CPUs
-//                 without AVX2) — so "simd" output always equals "ref" output
-//                 bitwise, the only question is speed.
-//   * "simd_q8" — SimdBackend plus block-int8 quantization of registered
-//                 frozen Linear weights (kQ8Block values per f32 scale,
-//                 int8×int8→int32 dot kernels). Float-accurate only to
-//                 quantization error; validated argmax-identical on the
-//                 synthetic eval.
-//
-// The seam sits at the nn value-path level: Linear/attention value forwards
-// take an optional `const Backend*`, and BootlegModel::PredictBatch routes
-// every frozen matmul/softmax through the active backend. Training and
-// freeze-time code never see a backend and are byte-for-byte untouched.
+// Compatibility shim for the repo benchmark only. repobench/workloads.cc
+// still reports a `backend.matmul_gflops` probe through Backend::Create("ref")
+// and Backend::MatMul, and the benchmark changes only in commits of its own.
+// This header keeps exactly that surface and forwards to tensor::MatMul, the
+// one float kernel path. Nothing outside repobench/ includes it; delete it
+// together with that probe at the next change to the benchmark.
 #ifndef BOOTLEG_BACKEND_BACKEND_H_
 #define BOOTLEG_BACKEND_BACKEND_H_
 
 #include <memory>
 #include <string>
-#include <vector>
 
 #include "tensor/tensor.h"
 #include "util/status.h"
 
 namespace bootleg::backend {
 
-/// One frozen inference-path affine layer, registered with LoadModel so
-/// quantizing backends can prepare packed copies ahead of traffic. The
-/// tensors stay owned by the model; pointers must outlive the backend or be
-/// re-registered (the model re-runs LoadModel after every weight reload).
-struct FrozenWeight {
-  std::string name;                        // diagnostic, e.g. "input_mlp.fc0"
-  const tensor::Tensor* weight = nullptr;  // [in, out]
-  const tensor::Tensor* bias = nullptr;    // [out]
-};
-
-/// Snapshot returned by Backend::stats(); feeds the backend.* gauges and the
-/// serve stats op's "backend" block.
-struct BackendStats {
-  std::string name;            // "ref" | "simd" | "simd_q8"
-  std::string isa;             // "scalar" | "avx2+fma" | "avx2+fma(fallback)"
-  bool simd_active = false;    // AVX2 kernels actually selected
-  int64_t quant_block = 0;     // values per q8 block (0: no quantization)
-  int64_t quantized_tensors = 0;
-  int64_t quantized_bytes = 0;     // packed int8 payload + scales
-  double quant_max_abs_error = 0;  // max |w - dequant(quant(w))| over weights
-  double quant_mean_abs_error = 0;
-};
-
 class Backend {
  public:
-  virtual ~Backend() = default;
-
-  /// Short stable identifier ("ref", "simd", "simd_q8").
-  virtual const char* name() const = 0;
-
-  /// load_model: snapshot/prepare the registered frozen weights. Reference
-  /// and plain SIMD backends only record the inventory; the q8 backend packs
-  /// per-block int8 copies here (quantize-at-freeze — this runs from
-  /// PrepareFrozenInference / weight (re)load, never on the request path).
-  /// Not thread-safe against concurrent forwards.
-  virtual void LoadModel(const std::vector<FrozenWeight>& weights) = 0;
-
-  // --- forward: the frozen-inference compute cores -------------------------
-  // Contracts mirror the tensor:: kernels they replace; see tensor/tensor.h.
-
-  /// x·W + bias with W [in,out], bias [out]. Backends holding a prepared
-  /// (quantized) copy of `w` — matched by data pointer — may use it.
-  virtual tensor::Tensor LinearForward(const tensor::Tensor& x,
-                                       const tensor::Tensor& w,
-                                       const tensor::Tensor& bias) const = 0;
-  virtual tensor::Tensor MatMul(const tensor::Tensor& a,
-                                const tensor::Tensor& b) const = 0;
-  /// alpha * (a·bᵀ) — fuses the attention score scale into the epilogue.
-  virtual tensor::Tensor ScaledMatMulTransposedB(const tensor::Tensor& a,
-                                                 const tensor::Tensor& b,
-                                                 float alpha) const = 0;
-  virtual tensor::Tensor MatMulTransposedA(const tensor::Tensor& a,
-                                           const tensor::Tensor& b) const = 0;
-  /// Softmax is shared scalar code on every backend: its double-precision
-  /// row sums and libm exp calls pin the rounding, so swapping it would break
-  /// the bit-identity contract for no measurable win (it is a rounding-error
-  /// sliver of inference time).
-  virtual tensor::Tensor SoftmaxRows(const tensor::Tensor& a) const = 0;
-
-  virtual BackendStats stats() const = 0;
-
-  /// Factory for the --backend flag: "ref", "simd", "simd_q8".
   static util::StatusOr<std::shared_ptr<Backend>> Create(
-      const std::string& spec);
+      const std::string& spec) {
+    if (spec != "ref") {
+      return util::Status::InvalidArgument("unknown backend '" + spec + "'");
+    }
+    return std::make_shared<Backend>();
+  }
 
-  /// Process-wide ReferenceBackend used when a model has no explicit backend
-  /// installed (training-adjacent PredictBatch callers). Stateless.
-  static const Backend* ReferenceInstance();
-
-  /// True when the AVX2/FMA kernels are compiled in, supported by this CPU,
-  /// AND the bit-identity probe passes — i.e. "simd" will actually run SIMD.
-  static bool SimdAvailable();
+  tensor::Tensor MatMul(const tensor::Tensor& a,
+                        const tensor::Tensor& b) const {
+    return tensor::MatMul(a, b);
+  }
 };
 
 }  // namespace bootleg::backend

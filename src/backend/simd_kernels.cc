@@ -1,49 +1,27 @@
 #include "backend/simd_kernels.h"
 
 #include <cmath>
+#include <cstdlib>
 
 #include "backend/simd_primitives.h"
-#include "util/thread_pool.h"
 
 namespace bootleg::backend::simd {
 
-namespace {
-
-// Same dispatch economics as tensor/tensor.cc: chunks below ~250k scalar ops
-// lose more to the queue round-trip than they gain. The thresholds must match
-// the reference kernels only in spirit — both partitions are row-wise and
-// every kernel is partition-independent, so differing grains cannot change
-// results, only scheduling.
-constexpr int64_t kParallelWork = 1 << 18;
-
-int64_t RowGrain(int64_t work_per_row) {
-  return std::max<int64_t>(1,
-                           kParallelWork / std::max<int64_t>(1, work_per_row));
-}
-
-template <typename F>
-void Dispatch(int64_t n, int64_t grain, F&& fn) {
-  util::ThreadPool* pool = util::ThreadPool::Global();
-  if (pool->WouldParallelize(n, grain)) {
-    pool->ParallelFor(0, n, grain, fn);
-  } else if (n > 0) {
-    fn(0, n);
-  }
-}
-
 #if BOOTLEG_SIMD_AVX2
 
-/// All n output columns for rows [i, i+RB) of C = A·B (+ optional bias).
+namespace {
+
+/// All n output columns for rows [i, i+RB) of C = A·B.
 /// Register tile: RB rows × 16 columns (2 ymm accumulators per row), one
 /// ascending-k FMA chain per element — the same chain the contracted
-/// reference kernel produces, without its per-k-tile memory round-trips.
+/// portable loop produces, without its per-k-tile memory round-trips.
 /// Column tails drop to one ymm, then to std::fmaf scalar chains (fmaf is
 /// correctly rounded, i.e. exactly vfmadd's scalar form). RB > 1 scalar
 /// tails interleave independent row chains for ILP; per-element order is
 /// untouched. Handles n < 8 entirely in the scalar tail (matvec scoring).
 template <int RB>
-void MatMulTile(const float* pa, const float* pb, const float* bias, float* pc,
-                int64_t i, int64_t k, int64_t n) {
+void MatMulTile(const float* pa, const float* pb, float* pc, int64_t i,
+                int64_t k, int64_t n) {
   const float* arow[RB];
   float* crow[RB];
   for (int r = 0; r < RB; ++r) {
@@ -67,14 +45,6 @@ void MatMulTile(const float* pa, const float* pb, const float* bias, float* pc,
         acc1[r] = _mm256_fmadd_ps(av, b1, acc1[r]);
       }
     }
-    if (bias != nullptr) {
-      const __m256 bv0 = _mm256_loadu_ps(bias + j);
-      const __m256 bv1 = _mm256_loadu_ps(bias + j + 8);
-      for (int r = 0; r < RB; ++r) {
-        acc0[r] = _mm256_add_ps(acc0[r], bv0);
-        acc1[r] = _mm256_add_ps(acc1[r], bv1);
-      }
-    }
     for (int r = 0; r < RB; ++r) {
       _mm256_storeu_ps(crow[r] + j, acc0[r]);
       _mm256_storeu_ps(crow[r] + j + 8, acc1[r]);
@@ -89,10 +59,6 @@ void MatMulTile(const float* pa, const float* pb, const float* bias, float* pc,
         acc[r] = _mm256_fmadd_ps(_mm256_set1_ps(arow[r][kk]), b0, acc[r]);
       }
     }
-    if (bias != nullptr) {
-      const __m256 bv = _mm256_loadu_ps(bias + j);
-      for (int r = 0; r < RB; ++r) acc[r] = _mm256_add_ps(acc[r], bv);
-    }
     for (int r = 0; r < RB; ++r) _mm256_storeu_ps(crow[r] + j, acc[r]);
     j += 8;
   }
@@ -102,9 +68,7 @@ void MatMulTile(const float* pa, const float* pb, const float* bias, float* pc,
       const float bv = pb[kk * n + j];
       for (int r = 0; r < RB; ++r) acc[r] = std::fmaf(arow[r][kk], bv, acc[r]);
     }
-    for (int r = 0; r < RB; ++r) {
-      crow[r][j] = bias != nullptr ? acc[r] + bias[j] : acc[r];
-    }
+    for (int r = 0; r < RB; ++r) crow[r][j] = acc[r];
   }
 }
 
@@ -112,8 +76,8 @@ void MatMulTile(const float* pa, const float* pb, const float* bias, float* pc,
 /// above makes GCC spill the accumulator file to the stack inside the k loop;
 /// 12 named __m256 + two B panels + one broadcast fit the 16 ymm registers
 /// exactly and sustain ~2 FMA/cycle. Same ascending-k chains as the template.
-void MatMulTile6x16(const float* pa, const float* pb, const float* bias,
-                    float* pc, int64_t i, int64_t j, int64_t k, int64_t n) {
+void MatMulTile6x16(const float* pa, const float* pb, float* pc, int64_t i,
+                    int64_t j, int64_t k, int64_t n) {
   const float* a0 = pa + i * k;
   const float* a1 = a0 + k;
   const float* a2 = a1 + k;
@@ -150,22 +114,6 @@ void MatMulTile6x16(const float* pa, const float* pb, const float* bias,
     c50 = _mm256_fmadd_ps(av, b0, c50);
     c51 = _mm256_fmadd_ps(av, b1, c51);
   }
-  if (bias != nullptr) {
-    const __m256 bv0 = _mm256_loadu_ps(bias + j);
-    const __m256 bv1 = _mm256_loadu_ps(bias + j + 8);
-    c00 = _mm256_add_ps(c00, bv0);
-    c01 = _mm256_add_ps(c01, bv1);
-    c10 = _mm256_add_ps(c10, bv0);
-    c11 = _mm256_add_ps(c11, bv1);
-    c20 = _mm256_add_ps(c20, bv0);
-    c21 = _mm256_add_ps(c21, bv1);
-    c30 = _mm256_add_ps(c30, bv0);
-    c31 = _mm256_add_ps(c31, bv1);
-    c40 = _mm256_add_ps(c40, bv0);
-    c41 = _mm256_add_ps(c41, bv1);
-    c50 = _mm256_add_ps(c50, bv0);
-    c51 = _mm256_add_ps(c51, bv1);
-  }
   float* crow = pc + i * n + j;
   _mm256_storeu_ps(crow, c00);
   _mm256_storeu_ps(crow + 8, c01);
@@ -189,8 +137,8 @@ void MatMulTile6x16(const float* pa, const float* pb, const float* bias,
 /// Columns [j0, n) of rows [i, i+6): the 8-wide and scalar column tails,
 /// via the template tile's tail logic run on a 6-row block.
 template <int RB>
-void MatMulColsTail(const float* pa, const float* pb, const float* bias,
-                    float* pc, int64_t i, int64_t j0, int64_t k, int64_t n) {
+void MatMulColsTail(const float* pa, const float* pb, float* pc, int64_t i,
+                    int64_t j0, int64_t k, int64_t n) {
   const float* arow[RB];
   float* crow[RB];
   for (int r = 0; r < RB; ++r) {
@@ -207,10 +155,6 @@ void MatMulColsTail(const float* pa, const float* pb, const float* bias,
         acc[r] = _mm256_fmadd_ps(_mm256_set1_ps(arow[r][kk]), b0, acc[r]);
       }
     }
-    if (bias != nullptr) {
-      const __m256 bv = _mm256_loadu_ps(bias + j);
-      for (int r = 0; r < RB; ++r) acc[r] = _mm256_add_ps(acc[r], bv);
-    }
     for (int r = 0; r < RB; ++r) _mm256_storeu_ps(crow[r] + j, acc[r]);
     j += 8;
   }
@@ -220,22 +164,20 @@ void MatMulColsTail(const float* pa, const float* pb, const float* bias,
       const float bv = pb[kk * n + j];
       for (int r = 0; r < RB; ++r) acc[r] = std::fmaf(arow[r][kk], bv, acc[r]);
     }
-    for (int r = 0; r < RB; ++r) {
-      crow[r][j] = bias != nullptr ? acc[r] + bias[j] : acc[r];
-    }
+    for (int r = 0; r < RB; ++r) crow[r][j] = acc[r];
   }
 }
 
-void MatMulRowsYmm(const float* pa, const float* pb, const float* bias,
-                   float* pc, int64_t i0, int64_t i1, int64_t k, int64_t n) {
+void MatMulRowsYmm(const float* pa, const float* pb, float* pc, int64_t i0,
+                   int64_t i1, int64_t k, int64_t n) {
   int64_t i = i0;
   for (; i + 6 <= i1; i += 6) {
     int64_t j = 0;
-    for (; j + 16 <= n; j += 16) MatMulTile6x16(pa, pb, bias, pc, i, j, k, n);
-    if (j < n) MatMulColsTail<6>(pa, pb, bias, pc, i, j, k, n);
+    for (; j + 16 <= n; j += 16) MatMulTile6x16(pa, pb, pc, i, j, k, n);
+    if (j < n) MatMulColsTail<6>(pa, pb, pc, i, j, k, n);
   }
-  for (; i + 4 <= i1; i += 4) MatMulTile<4>(pa, pb, bias, pc, i, k, n);
-  for (; i < i1; ++i) MatMulTile<1>(pa, pb, bias, pc, i, k, n);
+  for (; i + 4 <= i1; i += 4) MatMulTile<4>(pa, pb, pc, i, k, n);
+  for (; i < i1; ++i) MatMulTile<1>(pa, pb, pc, i, k, n);
 }
 
 #if BOOTLEG_SIMD_AVX512
@@ -248,8 +190,8 @@ void MatMulRowsYmm(const float* pa, const float* pb, const float* bias,
 /// per two B-panel loads keeps the loop FMA-bound even when the unaligned
 /// 64-byte loads split cache lines, and 8-row blocks tile the common
 /// power-of-two row counts exactly (no scalar row tail at m = 128).
-void MatMulTile8x32(const float* pa, const float* pb, const float* bias,
-                    float* pc, int64_t i, int64_t j, int64_t k, int64_t n) {
+void MatMulTile8x32(const float* pa, const float* pb, float* pc, int64_t i,
+                    int64_t j, int64_t k, int64_t n) {
   const float* a0 = pa + i * k;
   const float* a1 = a0 + k;
   const float* a2 = a1 + k;
@@ -296,26 +238,6 @@ void MatMulTile8x32(const float* pa, const float* pb, const float* bias,
     c70 = _mm512_fmadd_ps(av, b0, c70);
     c71 = _mm512_fmadd_ps(av, b1, c71);
   }
-  if (bias != nullptr) {
-    const __m512 bv0 = _mm512_loadu_ps(bias + j);
-    const __m512 bv1 = _mm512_loadu_ps(bias + j + 16);
-    c00 = _mm512_add_ps(c00, bv0);
-    c01 = _mm512_add_ps(c01, bv1);
-    c10 = _mm512_add_ps(c10, bv0);
-    c11 = _mm512_add_ps(c11, bv1);
-    c20 = _mm512_add_ps(c20, bv0);
-    c21 = _mm512_add_ps(c21, bv1);
-    c30 = _mm512_add_ps(c30, bv0);
-    c31 = _mm512_add_ps(c31, bv1);
-    c40 = _mm512_add_ps(c40, bv0);
-    c41 = _mm512_add_ps(c41, bv1);
-    c50 = _mm512_add_ps(c50, bv0);
-    c51 = _mm512_add_ps(c51, bv1);
-    c60 = _mm512_add_ps(c60, bv0);
-    c61 = _mm512_add_ps(c61, bv1);
-    c70 = _mm512_add_ps(c70, bv0);
-    c71 = _mm512_add_ps(c71, bv1);
-  }
   float* crow = pc + i * n + j;
   _mm512_storeu_ps(crow, c00);
   _mm512_storeu_ps(crow + 16, c01);
@@ -343,8 +265,8 @@ void MatMulTile8x32(const float* pa, const float* pb, const float* bias,
 }
 
 /// 8 rows × 16 columns, one zmm accumulator per row.
-void MatMulTile8x16z(const float* pa, const float* pb, const float* bias,
-                     float* pc, int64_t i, int64_t j, int64_t k, int64_t n) {
+void MatMulTile8x16z(const float* pa, const float* pb, float* pc, int64_t i,
+                     int64_t j, int64_t k, int64_t n) {
   const float* a0 = pa + i * k;
   const float* a1 = a0 + k;
   const float* a2 = a1 + k;
@@ -372,17 +294,6 @@ void MatMulTile8x16z(const float* pa, const float* pb, const float* bias,
     c6 = _mm512_fmadd_ps(_mm512_set1_ps(a6[kk]), b0, c6);
     c7 = _mm512_fmadd_ps(_mm512_set1_ps(a7[kk]), b0, c7);
   }
-  if (bias != nullptr) {
-    const __m512 bv = _mm512_loadu_ps(bias + j);
-    c0 = _mm512_add_ps(c0, bv);
-    c1 = _mm512_add_ps(c1, bv);
-    c2 = _mm512_add_ps(c2, bv);
-    c3 = _mm512_add_ps(c3, bv);
-    c4 = _mm512_add_ps(c4, bv);
-    c5 = _mm512_add_ps(c5, bv);
-    c6 = _mm512_add_ps(c6, bv);
-    c7 = _mm512_add_ps(c7, bv);
-  }
   _mm512_storeu_ps(pc + (i + 0) * n + j, c0);
   _mm512_storeu_ps(pc + (i + 1) * n + j, c1);
   _mm512_storeu_ps(pc + (i + 2) * n + j, c2);
@@ -393,35 +304,22 @@ void MatMulTile8x16z(const float* pa, const float* pb, const float* bias,
   _mm512_storeu_ps(pc + (i + 7) * n + j, c7);
 }
 
-void MatMulRowsZmm(const float* pa, const float* pb, const float* bias,
-                   float* pc, int64_t i0, int64_t i1, int64_t k, int64_t n) {
+void MatMulRowsZmm(const float* pa, const float* pb, float* pc, int64_t i0,
+                   int64_t i1, int64_t k, int64_t n) {
   int64_t i = i0;
   for (; i + 8 <= i1; i += 8) {
     int64_t j = 0;
-    for (; j + 32 <= n; j += 32) MatMulTile8x32(pa, pb, bias, pc, i, j, k, n);
+    for (; j + 32 <= n; j += 32) MatMulTile8x32(pa, pb, pc, i, j, k, n);
     if (j + 16 <= n) {
-      MatMulTile8x16z(pa, pb, bias, pc, i, j, k, n);
+      MatMulTile8x16z(pa, pb, pc, i, j, k, n);
       j += 16;
     }
-    if (j < n) MatMulColsTail<8>(pa, pb, bias, pc, i, j, k, n);
+    if (j < n) MatMulColsTail<8>(pa, pb, pc, i, j, k, n);
   }
-  for (; i + 4 <= i1; i += 4) MatMulTile<4>(pa, pb, bias, pc, i, k, n);
-  for (; i < i1; ++i) MatMulTile<1>(pa, pb, bias, pc, i, k, n);
+  for (; i + 4 <= i1; i += 4) MatMulTile<4>(pa, pb, pc, i, k, n);
+  for (; i < i1; ++i) MatMulTile<1>(pa, pb, pc, i, k, n);
 }
 #endif  // BOOTLEG_SIMD_AVX512
-
-/// Row-range entry point: picks the widest tile the CPU supports. The choice
-/// is cached process-wide and cannot affect results — only speed.
-void MatMulRows(const float* pa, const float* pb, const float* bias, float* pc,
-                int64_t i0, int64_t i1, int64_t k, int64_t n) {
-#if BOOTLEG_SIMD_AVX512
-  if (CpuHasAvx512() && n >= 16) {
-    MatMulRowsZmm(pa, pb, bias, pc, i0, i1, k, n);
-    return;
-  }
-#endif
-  MatMulRowsYmm(pa, pb, bias, pc, i0, i1, k, n);
-}
 
 /// Rows [i, i+RB) of C = Aᵀ·B for A [k,m]: MatMulTile with the reduction
 /// walking A down a column (stride m).
@@ -454,21 +352,14 @@ void MatMulTATile(const float* pa, const float* pb, float* pc, int64_t i,
   }
 }
 
-void MatMulTARows(const float* pa, const float* pb, float* pc, int64_t i0,
-                  int64_t i1, int64_t k, int64_t m, int64_t n) {
-  int64_t i = i0;
-  for (; i + 4 <= i1; i += 4) MatMulTATile<4>(pa, pb, pc, i, k, m, n);
-  for (; i < i1; ++i) MatMulTATile<1>(pa, pb, pc, i, k, m, n);
-}
-
 /// One output row of C = A·Bᵀ, k >= 16, JB columns at a time. Mirrors the
-/// reference 16-lane accumulator exactly: acc_lo lane p sums kk ≡ p (mod 16),
-/// acc_hi lane p sums kk ≡ p+8, the fold below is the reference's fixed
+/// portable 16-lane accumulator exactly: acc_lo lane p sums kk ≡ p (mod 16),
+/// acc_hi lane p sums kk ≡ p+8, the fold below is the portable loop's fixed
 /// 16→8→4→2→1 halving expressed as vector adds, and the k-tail is a scalar
 /// FMA chain folded in last.
 template <int JB>
 void MatMulTBTile(const float* arow, const float* pb, float* crow, int64_t j,
-                  int64_t k, float alpha) {
+                  int64_t k) {
   const float* brow[JB];
   for (int c = 0; c < JB; ++c) brow[c] = pb + (j + c) * k;
   __m256 lo[JB], hi[JB];
@@ -496,132 +387,59 @@ void MatMulTBTile(const float* arow, const float* pb, float* crow, int64_t j,
     x = _mm_add_ps(x, _mm_movehl_ps(x, x));              // += lanes[l+2]
     const float pair0 = _mm_cvtss_f32(x);
     const float pair1 = _mm_cvtss_f32(_mm_shuffle_ps(x, x, 0x1));
-    float out = (pair0 + pair1) + tail;
-    if (alpha != 1.0f) out *= alpha;
-    crow[j + c] = out;
+    crow[j + c] = (pair0 + pair1) + tail;
   }
 }
 
+}  // namespace
+
+/// Picks the widest tile the CPU supports. The choice is cached process-wide
+/// and cannot affect results — only speed.
+void MatMulRows(const float* pa, const float* pb, float* pc, int64_t i0,
+                int64_t i1, int64_t k, int64_t n) {
+#if BOOTLEG_SIMD_AVX512
+  if (CpuHasAvx512() && n >= 16) {
+    MatMulRowsZmm(pa, pb, pc, i0, i1, k, n);
+    return;
+  }
+#endif
+  MatMulRowsYmm(pa, pb, pc, i0, i1, k, n);
+}
+
+void MatMulTARows(const float* pa, const float* pb, float* pc, int64_t i0,
+                  int64_t i1, int64_t k, int64_t m, int64_t n) {
+  int64_t i = i0;
+  for (; i + 4 <= i1; i += 4) MatMulTATile<4>(pa, pb, pc, i, k, m, n);
+  for (; i < i1; ++i) MatMulTATile<1>(pa, pb, pc, i, k, m, n);
+}
+
 void MatMulTBRows(const float* pa, const float* pb, float* pc, int64_t i0,
-                  int64_t i1, int64_t k, int64_t n, float alpha) {
+                  int64_t i1, int64_t k, int64_t n) {
   for (int64_t i = i0; i < i1; ++i) {
     const float* arow = pa + i * k;
     float* crow = pc + i * n;
     int64_t j = 0;
-    for (; j + 4 <= n; j += 4) MatMulTBTile<4>(arow, pb, crow, j, k, alpha);
-    for (; j < n; ++j) MatMulTBTile<1>(arow, pb, crow, j, k, alpha);
+    for (; j + 4 <= n; j += 4) MatMulTBTile<4>(arow, pb, crow, j, k);
+    for (; j < n; ++j) MatMulTBTile<1>(arow, pb, crow, j, k);
   }
+}
+
+#else  // !BOOTLEG_SIMD_AVX2
+
+// Never reached: CpuHasAvx2Fma() is false in a build without the tiles.
+void MatMulRows(const float*, const float*, float*, int64_t, int64_t, int64_t,
+                int64_t) {
+  std::abort();
+}
+void MatMulTARows(const float*, const float*, float*, int64_t, int64_t,
+                  int64_t, int64_t, int64_t) {
+  std::abort();
+}
+void MatMulTBRows(const float*, const float*, float*, int64_t, int64_t,
+                  int64_t, int64_t) {
+  std::abort();
 }
 
 #endif  // BOOTLEG_SIMD_AVX2
-
-}  // namespace
-
-bool KernelsUsable() { return SimdCompiled() && CpuHasAvx2Fma(); }
-
-tensor::Tensor MatMul(const tensor::Tensor& a, const tensor::Tensor& b) {
-#if BOOTLEG_SIMD_AVX2
-  if (CpuHasAvx2Fma()) {
-    BOOTLEG_CHECK_EQ(a.dim(), 2);
-    BOOTLEG_CHECK_EQ(b.dim(), 2);
-    const int64_t m = a.size(0), k = a.size(1), n = b.size(1);
-    BOOTLEG_CHECK_EQ(k, b.size(0));
-    tensor::Tensor c({m, n});
-    if (m == 0 || k == 0 || n == 0) return c;
-    const float* pa = a.data();
-    const float* pb = b.data();
-    float* pc = c.data();
-    Dispatch(m, RowGrain(k * n), [pa, pb, pc, k, n](int64_t i0, int64_t i1) {
-      MatMulRows(pa, pb, nullptr, pc, i0, i1, k, n);
-    });
-    return c;
-  }
-#endif
-  return tensor::MatMul(a, b);
-}
-
-tensor::Tensor MatMulTransposedB(const tensor::Tensor& a,
-                                 const tensor::Tensor& b, float alpha) {
-#if BOOTLEG_SIMD_AVX2
-  // k < 16 takes the reference's short-reduction branch, whose exact rounding
-  // sequence is a compiler artifact (SLP-vectorized without contraction) that
-  // is not worth replicating: the inference path's only transposed-B shapes
-  // are attention scores with k = head_dim >= 16.
-  if (CpuHasAvx2Fma() && a.size(1) >= 16) {
-    BOOTLEG_CHECK_EQ(a.dim(), 2);
-    BOOTLEG_CHECK_EQ(b.dim(), 2);
-    const int64_t m = a.size(0), k = a.size(1), n = b.size(0);
-    BOOTLEG_CHECK_EQ(k, b.size(1));
-    tensor::Tensor c({m, n});
-    if (m == 0 || k == 0 || n == 0) return c;
-    const float* pa = a.data();
-    const float* pb = b.data();
-    float* pc = c.data();
-    Dispatch(m, RowGrain(k * n),
-             [pa, pb, pc, k, n, alpha](int64_t i0, int64_t i1) {
-               MatMulTBRows(pa, pb, pc, i0, i1, k, n, alpha);
-             });
-    return c;
-  }
-#endif
-  tensor::Tensor c = tensor::MatMulTransposedB(a, b);
-  if (alpha != 1.0f) c = tensor::Scale(c, alpha);
-  return c;
-}
-
-tensor::Tensor MatMulTransposedA(const tensor::Tensor& a,
-                                 const tensor::Tensor& b) {
-#if BOOTLEG_SIMD_AVX2
-  if (CpuHasAvx2Fma()) {
-    BOOTLEG_CHECK_EQ(a.dim(), 2);
-    BOOTLEG_CHECK_EQ(b.dim(), 2);
-    const int64_t k = a.size(0), m = a.size(1), n = b.size(1);
-    BOOTLEG_CHECK_EQ(k, b.size(0));
-    tensor::Tensor c({m, n});
-    if (m == 0 || k == 0 || n == 0) return c;
-    const float* pa = a.data();
-    const float* pb = b.data();
-    float* pc = c.data();
-    Dispatch(m, RowGrain(k * n),
-             [pa, pb, pc, k, m, n](int64_t i0, int64_t i1) {
-               MatMulTARows(pa, pb, pc, i0, i1, k, m, n);
-             });
-    return c;
-  }
-#endif
-  return tensor::MatMulTransposedA(a, b);
-}
-
-tensor::Tensor LinearForward(const tensor::Tensor& x, const tensor::Tensor& w,
-                             const tensor::Tensor& bias) {
-#if BOOTLEG_SIMD_AVX2
-  if (CpuHasAvx2Fma()) {
-    BOOTLEG_CHECK_EQ(x.dim(), 2);
-    BOOTLEG_CHECK_EQ(w.dim(), 2);
-    const int64_t m = x.size(0), k = x.size(1), n = w.size(1);
-    BOOTLEG_CHECK_EQ(k, w.size(0));
-    BOOTLEG_CHECK_EQ(bias.numel(), n);
-    tensor::Tensor c({m, n});
-    if (m == 0 || n == 0) return c;
-    const float* px = x.data();
-    const float* pw = w.data();
-    const float* pbv = bias.data();
-    float* pc = c.data();
-    if (k == 0) {
-      // Degenerate reduction: C is the broadcast bias.
-      for (int64_t i = 0; i < m; ++i) {
-        std::memcpy(pc + i * n, pbv, sizeof(float) * static_cast<size_t>(n));
-      }
-      return c;
-    }
-    Dispatch(m, RowGrain(k * n),
-             [px, pw, pbv, pc, k, n](int64_t i0, int64_t i1) {
-               MatMulRows(px, pw, pbv, pc, i0, i1, k, n);
-             });
-    return c;
-  }
-#endif
-  return tensor::AddRowBroadcast(tensor::MatMul(x, w), bias);
-}
 
 }  // namespace bootleg::backend::simd

@@ -1,43 +1,36 @@
-// AVX2/FMA kernels for the frozen-inference compute cores. Each kernel
-// reproduces the per-element accumulation order of its counterpart in
-// tensor/tensor.cc (ascending-k fused multiply-add chains; the 16-lane
-// tree-fold for transposed-B dots), so on a Release build — where the
-// compiler contracts the reference kernels' mul+add into FMA — the results
-// are bit-identical at every shape and thread count. SimdBackend verifies
-// that property at construction with a runtime probe (see simd_backend.cc)
-// and delegates to the reference kernels when it does not hold (portable
-// builds, sanitizer builds compiled at -O1, CPUs without AVX2).
+// AVX2/FMA (and AVX-512) register tiles for the three dense matmul kernels
+// of tensor/tensor.cc, as raw-pointer row-range functions over row-major
+// buffers. Each tile reproduces the per-element accumulation order of the
+// portable loop it replaces (ascending-k fused multiply-add chains; the
+// 16-lane tree-fold for transposed-B dots), so on a Release build — where
+// the compiler contracts the portable loops' mul+add into FMA — the results
+// are bit-identical at every shape and thread count. tensor:: verifies that
+// property once per process with a probe and runs the portable loops where
+// it does not hold (portable builds, sanitizer builds compiled at -O1, CPUs
+// without AVX2).
 #ifndef BOOTLEG_BACKEND_SIMD_KERNELS_H_
 #define BOOTLEG_BACKEND_SIMD_KERNELS_H_
 
-#include "tensor/tensor.h"
+#include <cstdint>
 
 namespace bootleg::backend::simd {
 
-/// True when the binary carries the AVX2/FMA kernels and the CPU supports
-/// them. Does NOT imply bit-identity with the reference kernels — that is
-/// the probe's job.
-bool KernelsUsable();
+// The functions below may only run where backend::CpuHasAvx2Fma() holds
+// (simd_primitives.h). That does not imply bit-identity with the portable
+// loops — that is the probe's job.
 
-/// C = A·B. A [m,k], B [k,n].
-tensor::Tensor MatMul(const tensor::Tensor& a, const tensor::Tensor& b);
+/// Rows [i0, i1) of C = A·B. A [m,k], B [k,n], C [m,n].
+void MatMulRows(const float* pa, const float* pb, float* pc, int64_t i0,
+                int64_t i1, int64_t k, int64_t n);
 
-/// C = alpha * (A·Bᵀ). A [m,k], B [n,k]. alpha == 1.0f skips the scaling
-/// epilogue so the unscaled product matches tensor::MatMulTransposedB
-/// bitwise; otherwise each element gets exactly one extra rounded multiply,
-/// matching tensor::Scale applied afterwards.
-tensor::Tensor MatMulTransposedB(const tensor::Tensor& a,
-                                 const tensor::Tensor& b, float alpha);
+/// Rows [i0, i1) of C = Aᵀ·B. A [k,m], B [k,n], C [m,n].
+void MatMulTARows(const float* pa, const float* pb, float* pc, int64_t i0,
+                  int64_t i1, int64_t k, int64_t m, int64_t n);
 
-/// C = Aᵀ·B. A [k,m], B [k,n].
-tensor::Tensor MatMulTransposedA(const tensor::Tensor& a,
-                                 const tensor::Tensor& b);
-
-/// C = X·W + bias (row broadcast). X [m,k], W [k,n], bias [n]. The bias add
-/// rides the matmul epilogue — same roundings as MatMul followed by
-/// tensor::AddRowBroadcast, one fewer pass over C.
-tensor::Tensor LinearForward(const tensor::Tensor& x, const tensor::Tensor& w,
-                             const tensor::Tensor& bias);
+/// Rows [i0, i1) of C = A·Bᵀ. A [m,k], B [n,k], C [m,n]. Requires k >= 16:
+/// the portable loop's short-reduction branch is not reproduced.
+void MatMulTBRows(const float* pa, const float* pb, float* pc, int64_t i0,
+                  int64_t i1, int64_t k, int64_t n);
 
 }  // namespace bootleg::backend::simd
 

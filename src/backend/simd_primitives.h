@@ -1,28 +1,23 @@
-// Header-only SIMD primitives shared by the inference backends and the
-// embedding store. Deliberately dependency-free (no tensor/, no util/): the
-// store library sits below tensor in the link order and must be able to use
-// the fused dequant core without growing a link edge to the backend library.
+// Header-only SIMD primitives shared by the matmul tiles and the embedding
+// store. Deliberately dependency-free (no tensor/, no util/): the store
+// library sits below tensor in the link order and must be able to use the
+// fused dequant core without growing a link edge to the backend library.
 //
 // Two layers live here:
-//   * runtime CPU detection (AVX2+FMA) — kernels are compiled whenever the
-//     build targets AVX2/FMA (`-march=native` on such hosts) and selected at
-//     runtime, so a portable build or an older CPU falls back to the scalar
-//     bodies below, which compute the exact same values;
-//   * block-int8 ("q8") primitives — QK-style blocks of kQ8Block values with
-//     one f32 scale per block, matching the ggml q8_0 layout: quantization,
-//     row dequantization, and the int8×int8→int32 dot core used by the
-//     quantized Linear kernels.
+//   * runtime CPU detection (AVX2+FMA, AVX-512F) — kernels are compiled
+//     whenever the build targets those ISAs (`-march=native` on such hosts)
+//     and selected at runtime, so a portable build or an older CPU falls back
+//     to scalar bodies that compute the exact same values;
+//   * DequantRow, the int8 row dequantization core of the store's int8 view.
 //
-// Every primitive is element-wise exact across the SIMD and scalar paths
-// (integer arithmetic plus one correctly-rounded float multiply per element),
-// so GatherRow through the fused dequant stays bit-identical to the scalar
-// store path on every machine.
+// DequantRow is element-wise exact across the SIMD and scalar paths (an exact
+// int8→f32 widening plus one correctly-rounded multiply per element), so
+// GatherRow through it stays bit-identical to the scalar store path on every
+// machine.
 #ifndef BOOTLEG_BACKEND_SIMD_PRIMITIVES_H_
 #define BOOTLEG_BACKEND_SIMD_PRIMITIVES_H_
 
-#include <cmath>
 #include <cstdint>
-#include <cstring>
 
 #if defined(__AVX2__) && defined(__FMA__)
 #define BOOTLEG_SIMD_AVX2 1
@@ -33,8 +28,8 @@
 
 // Width upgrade for the float matmul tiles and the dequant row core:
 // compiled whenever the target ISA has the foundation subset, picked at
-// runtime. The q8 dots and transposed products stay 256-bit — those cores
-// are load- or latency-bound, not FMA-width-bound.
+// runtime. The transposed products stay 256-bit — those cores are load- or
+// latency-bound, not FMA-width-bound.
 #if BOOTLEG_SIMD_AVX2 && defined(__AVX512F__)
 #define BOOTLEG_SIMD_AVX512 1
 #else
@@ -44,20 +39,8 @@
 namespace bootleg {
 namespace backend {
 
-/// Values per quantization block. 32 int8 payload bytes + one f32 scale =
-/// 36 bytes per 32 floats (3.6× smaller than f32), and exactly one AVX2
-/// register per block for the dot kernels.
-inline constexpr int64_t kQ8Block = 32;
-
-/// Number of kQ8Block-wide blocks covering n values (last block zero-padded).
-inline constexpr int64_t NumQ8Blocks(int64_t n) {
-  return (n + kQ8Block - 1) / kQ8Block;
-}
-
-/// True when the kernels in this header were compiled with AVX2+FMA enabled.
-inline constexpr bool SimdCompiled() { return BOOTLEG_SIMD_AVX2 != 0; }
-
-/// Runtime check: binary has AVX2 kernels AND the CPU can run them.
+/// Runtime check: the binary carries the AVX2/FMA kernels (the matmul tiles
+/// included) AND the CPU can run them.
 inline bool CpuHasAvx2Fma() {
 #if BOOTLEG_SIMD_AVX2
   static const bool ok =
@@ -116,85 +99,6 @@ inline void DequantRow(const int8_t* q, int64_t n, float scale, float* dst) {
   }
 #endif
   for (int64_t j = 0; j < n; ++j) dst[j] = static_cast<float>(q[j]) * scale;
-}
-
-/// Quantizes n floats into NumQ8Blocks(n) blocks: per block, scale =
-/// max|x|/127 and values round-to-nearest-even (same formula as the store's
-/// per-row int8 shards). The padded tail of the last block is written as
-/// zero, which dequantizes exactly to 0 and contributes nothing to dots.
-/// `q` must hold NumQ8Blocks(n)*kQ8Block bytes, `scales` NumQ8Blocks(n).
-inline void QuantizeBlocksQ8(const float* src, int64_t n, int8_t* q,
-                             float* scales) {
-  const int64_t blocks = NumQ8Blocks(n);
-  for (int64_t b = 0; b < blocks; ++b) {
-    const int64_t begin = b * kQ8Block;
-    const int64_t len = (begin + kQ8Block <= n) ? kQ8Block : (n - begin);
-    float max_abs = 0.0f;
-    for (int64_t j = 0; j < len; ++j) {
-      const float a = std::fabs(src[begin + j]);
-      if (a > max_abs) max_abs = a;
-    }
-    const float scale = max_abs / 127.0f;
-    const float inv = scale > 0.0f ? 1.0f / scale : 0.0f;
-    scales[b] = scale;
-    int8_t* qb = q + b * kQ8Block;
-    for (int64_t j = 0; j < len; ++j) {
-      float v = std::nearbyintf(src[begin + j] * inv);
-      if (v > 127.0f) v = 127.0f;
-      if (v < -127.0f) v = -127.0f;
-      qb[j] = static_cast<int8_t>(v);
-    }
-    for (int64_t j = len; j < kQ8Block; ++j) qb[j] = 0;
-  }
-}
-
-/// Dot product of two q8 rows with `blocks` blocks each:
-///   sum_b (sa[b] * sb[b]) * <qa_b, qb_b>_int32
-/// The per-block int32 dot is exact in both paths; float accumulation order
-/// differs between the AVX2 and scalar bodies (8 lanes vs 1), which is fine —
-/// the q8 backend only promises argmax-stability, not bit-identity, and each
-/// binary picks one path deterministically.
-inline float DotQ8(const int8_t* qa, const float* sa, const int8_t* qb,
-                   const float* sb, int64_t blocks) {
-#if BOOTLEG_SIMD_AVX2
-  if (CpuHasAvx2Fma()) {
-    __m256 acc = _mm256_setzero_ps();
-    const __m256i ones16 = _mm256_set1_epi16(1);
-    for (int64_t b = 0; b < blocks; ++b) {
-      const __m256i x = _mm256_loadu_si256(
-          reinterpret_cast<const __m256i*>(qa + b * kQ8Block));
-      const __m256i y = _mm256_loadu_si256(
-          reinterpret_cast<const __m256i*>(qb + b * kQ8Block));
-      // maddubs needs one unsigned operand: fold sign(x) into y so the
-      // products |x|*sign(x)*y == x*y. |x| <= 127 keeps the i16 pair sums
-      // inside [-32258, 32258], no saturation.
-      const __m256i ax = _mm256_sign_epi8(x, x);
-      const __m256i sy = _mm256_sign_epi8(y, x);
-      const __m256i p16 = _mm256_maddubs_epi16(ax, sy);
-      const __m256i p32 = _mm256_madd_epi16(p16, ones16);
-      acc = _mm256_fmadd_ps(_mm256_set1_ps(sa[b] * sb[b]),
-                            _mm256_cvtepi32_ps(p32), acc);
-    }
-    // Horizontal sum of the 8 lanes.
-    const __m128 lo = _mm256_castps256_ps128(acc);
-    const __m128 hi = _mm256_extractf128_ps(acc, 1);
-    __m128 s = _mm_add_ps(lo, hi);
-    s = _mm_add_ps(s, _mm_movehl_ps(s, s));
-    s = _mm_add_ss(s, _mm_shuffle_ps(s, s, 1));
-    return _mm_cvtss_f32(s);
-  }
-#endif
-  float acc = 0.0f;
-  for (int64_t b = 0; b < blocks; ++b) {
-    int32_t idot = 0;
-    const int8_t* xa = qa + b * kQ8Block;
-    const int8_t* xb = qb + b * kQ8Block;
-    for (int64_t j = 0; j < kQ8Block; ++j) {
-      idot += static_cast<int32_t>(xa[j]) * static_cast<int32_t>(xb[j]);
-    }
-    acc += (sa[b] * sb[b]) * static_cast<float>(idot);
-  }
-  return acc;
 }
 
 }  // namespace backend

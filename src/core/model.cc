@@ -536,36 +536,6 @@ void BootlegModel::PrepareFrozenInference() {
     }
   }
   frozen_ready_ = true;
-  // Weight tensors may have been swapped since the backend was installed
-  // (checkpoint load, hot-reload): refresh any backend-prepared copies.
-  RegisterBackendWeights();
-}
-
-void BootlegModel::SetInferenceBackend(std::shared_ptr<backend::Backend> be) {
-  backend_ = std::move(be);
-  RegisterBackendWeights();
-}
-
-void BootlegModel::RegisterBackendWeights() {
-  if (backend_ == nullptr) return;
-  std::vector<backend::FrozenWeight> weights;
-  if (encoder_ != nullptr) encoder_->AppendFrozenWeights("encoder", &weights);
-  if (type_pred_head_ != nullptr) {
-    type_pred_head_->AppendFrozenWeights("type_pred_head", &weights);
-  }
-  if (input_mlp_ != nullptr) {
-    input_mlp_->AppendFrozenWeights("input_mlp", &weights);
-  }
-  if (position_proj_ != nullptr) {
-    position_proj_->AppendFrozenWeights("position_proj", &weights);
-  }
-  for (size_t li = 0; li < layers_.size(); ++li) {
-    const std::string prefix = "layer" + std::to_string(li);
-    layers_[li].phrase2ent->AppendFrozenWeights(prefix + ".phrase2ent",
-                                                &weights);
-    layers_[li].ent2ent->AppendFrozenWeights(prefix + ".ent2ent", &weights);
-  }
-  backend_->LoadModel(weights);
 }
 
 util::Status BootlegModel::UseFrozenStore(
@@ -606,7 +576,6 @@ std::vector<std::vector<int64_t>> BootlegModel::PredictBatch(
     InferenceScratch* scratch) const {
   BOOTLEG_CHECK_MSG(frozen_ready_,
                     "PrepareFrozenInference() must run before PredictBatch");
-  const backend::Backend* be = inference_backend();
   std::vector<std::vector<int64_t>> preds(batch.size());
   InferenceScratch& s = *scratch;
   s.sentences.clear();
@@ -664,7 +633,7 @@ std::vector<std::vector<int64_t>> BootlegModel::PredictBatch(
   Tensor w_all;
   {
     OBS_SPAN("infer.encode");
-    w_all = encoder_->EncodeBatchValue(s.sequences, &s.word_ranges, be);
+    w_all = encoder_->EncodeBatchValue(s.sequences, &s.word_ranges);
   }
   if (cancelled()) return {};
 
@@ -692,8 +661,9 @@ std::vector<std::vector<int64_t>> BootlegModel::PredictBatch(
         for (int64_t j = 0; j < hidden; ++j) dst[j] = w_first[j] + w_last[j];
       }
     }
-    Tensor logits = type_pred_head_->ForwardValue(m_all, be);
-    Tensor t_hat = be->MatMul(be->SoftmaxRows(logits), coarse_table_.value());
+    Tensor logits = type_pred_head_->ForwardValue(m_all);
+    Tensor t_hat =
+        tensor::MatMul(tensor::SoftmaxRows(logits), coarse_table_.value());
 
     // Selection-expand per-mention rows to candidate rows, per sentence — the
     // same one-hot matmul RunForward performs.
@@ -704,7 +674,7 @@ std::vector<std::vector<int64_t>> BootlegModel::PredictBatch(
       for (int64_t r = 0; r < info.rows; ++r) {
         sel.at(r, s.row_mention[static_cast<size_t>(info.row_offset + r)]) = 1.0f;
       }
-      Tensor tp = be->MatMul(sel, t_hat_s);
+      Tensor tp = tensor::MatMul(sel, t_hat_s);
       float* dst = tpred_all.data() + info.row_offset * config_.coarse_dim;
       const float* src = tp.data();
       for (int64_t k = 0; k < info.rows * config_.coarse_dim; ++k) dst[k] = src[k];
@@ -790,7 +760,7 @@ std::vector<std::vector<int64_t>> BootlegModel::PredictBatch(
                               std::chrono::steady_clock::now() - gather_start)
                               .count());
     }
-    e_all = input_mlp_->ForwardValue(x, be);
+    e_all = input_mlp_->ForwardValue(x);
 
     if (config_.use_position_encoding) {
       Tensor pos({total_rows, 2 * hidden});
@@ -811,7 +781,7 @@ std::vector<std::vector<int64_t>> BootlegModel::PredictBatch(
           }
         }
       }
-      e_all = tensor::Add(e_all, position_proj_->ForwardValue(pos, be));
+      e_all = tensor::Add(e_all, position_proj_->ForwardValue(pos));
     }
   }
   if (cancelled()) return {};
@@ -864,10 +834,10 @@ std::vector<std::vector<int64_t>> BootlegModel::PredictBatch(
       if (cancelled()) return {};
       const Layer& layer = layers_[li];
       const bool last_layer = li + 1 == layers_.size();
-      Tensor p_all = layer.phrase2ent->ForwardSegmentsValue(
-          e_all, w_all, s.p2e_segments, be);
+      Tensor p_all = layer.phrase2ent->ForwardSegmentsValue(e_all, w_all,
+                                                            s.p2e_segments);
       Tensor c_all = layer.ent2ent->ForwardSegmentsValue(e_all, e_all,
-                                                         s.self_segments, be);
+                                                         s.self_segments);
       e_prime_all = tensor::Add(p_all, c_all);
 
       Tensor e_next({total_rows, hidden});
@@ -878,9 +848,10 @@ std::vector<std::vector<int64_t>> BootlegModel::PredictBatch(
         std::vector<Tensor> eks;
         eks.reserve(adjacencies[i].size());
         for (size_t k = 0; k < adjacencies[i].size(); ++k) {
-          Tensor attn = be->SoftmaxRows(tensor::AddScaledIdentity(
+          Tensor attn = tensor::SoftmaxRows(tensor::AddScaledIdentity(
               adjacencies[i][k], layer.kg_weights[k].value().at(0)));
-          eks.push_back(tensor::Add(be->MatMul(attn, e_prime_s), e_prime_s));
+          eks.push_back(
+              tensor::Add(tensor::MatMul(attn, e_prime_s), e_prime_s));
         }
         Tensor e_s;
         if (eks.empty()) {
@@ -906,11 +877,11 @@ std::vector<std::vector<int64_t>> BootlegModel::PredictBatch(
   OBS_SPAN("infer.score");
   Tensor scores;
   if (config_.ensemble_scoring) {
-    scores = be->MatMul(e_prime_all, score_vec_.value());
+    scores = tensor::MatMul(e_prime_all, score_vec_.value());
     for (size_t i = 0; i < s.sentences.size(); ++i) {
       const InferenceScratch::SentenceInfo& info = s.sentences[i];
       for (const Tensor& ek : ek_final[i]) {
-        Tensor sek = be->MatMul(ek, score_vec_.value());
+        Tensor sek = tensor::MatMul(ek, score_vec_.value());
         for (int64_t r = 0; r < info.rows; ++r) {
           float& dst = scores.at(info.row_offset + r, 0);
           dst = std::max(dst, sek.at(r, 0));
@@ -918,7 +889,7 @@ std::vector<std::vector<int64_t>> BootlegModel::PredictBatch(
       }
     }
   } else {
-    scores = be->MatMul(e_all, score_vec_.value());
+    scores = tensor::MatMul(e_all, score_vec_.value());
   }
 
   // --- Per-mention argmax, matching Predict's strict-> tie handling. ---------

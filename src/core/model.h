@@ -6,7 +6,6 @@
 #include <string>
 #include <vector>
 
-#include "backend/backend.h"
 #include "core/config.h"
 #include "data/example.h"
 #include "eval/evaluator.h"
@@ -153,22 +152,6 @@ class BootlegModel : public eval::NedScorer {
       const std::vector<const data::SentenceExample*>& batch,
       InferenceScratch* scratch) const;
 
-  /// Installs the inference backend PredictBatch routes its frozen compute
-  /// through, and registers the inference-path Linear weights with it
-  /// (Backend::LoadModel — quantizing backends pack their copies here).
-  /// nullptr restores the default reference path. PrepareFrozenInference()
-  /// re-registers automatically, so a serving hot-reload refreshes any
-  /// backend-prepared weight copies. Not thread-safe against concurrent
-  /// PredictBatch calls.
-  void SetInferenceBackend(std::shared_ptr<backend::Backend> be);
-
-  /// The backend PredictBatch uses: the installed one, or the process-wide
-  /// reference backend when none is installed. Never null.
-  const backend::Backend* inference_backend() const {
-    return backend_ != nullptr ? backend_.get()
-                               : backend::Backend::ReferenceInstance();
-  }
-
   /// Contextual entity embeddings (final-layer E_k rows of the predicted
   /// candidate per mention), the representation transferred to downstream
   /// tasks in Sec. 4.3. Returns exactly one entry per example mention; a
@@ -282,13 +265,6 @@ class BootlegModel : public eval::NedScorer {
   // When set, PredictBatch gathers frozen rows through this view (mmap
   // store) instead of frozen_static_; see UseFrozenStore().
   std::shared_ptr<const store::StoreView> frozen_view_;
-
-  /// Collects every inference-path Linear into LoadModel's inventory and
-  /// hands it to backend_ (no-op without an installed backend).
-  void RegisterBackendWeights();
-
-  // Inference backend for PredictBatch; see SetInferenceBackend().
-  std::shared_ptr<backend::Backend> backend_;
 };
 
 }  // namespace bootleg::core

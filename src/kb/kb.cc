@@ -173,9 +173,8 @@ RelationId KnowledgeBase::FindRelationByName(const std::string& name) const {
 
 namespace {
 
-// Snapshot format magics. v0 is the legacy unchecksummed layout; v1 adds the
-// version word, per-section CRC32s, and an end-of-file footer.
-constexpr uint32_t kKbMagicV0 = 0xB0071EB0;
+// Snapshot format magic. v1 carries a version word, per-section CRC32s, and
+// an end-of-file footer.
 constexpr uint32_t kKbMagicV1 = 0xB0071EB1;
 constexpr uint32_t kKbFormatVersion = 1;
 
@@ -229,22 +228,18 @@ util::Status KnowledgeBase::Save(const std::string& path) const {
 util::Status KnowledgeBase::Load(const std::string& path) {
   util::BinaryReader r(path);
   BOOTLEG_RETURN_IF_ERROR(r.status());
-  const uint32_t magic = r.ReadU32();
-  const bool legacy = magic == kKbMagicV0;
-  if (!legacy) {
-    if (magic != kKbMagicV1) {
-      return util::Status::Corruption("bad KB magic: " + path);
-    }
-    const uint32_t version = r.ReadU32();
-    if (r.status().ok() && version != kKbFormatVersion) {
-      return util::Status::Corruption("unsupported KB version: " + path);
-    }
+  if (r.ReadU32() != kKbMagicV1) {
+    return util::Status::Corruption("bad KB magic: " + path);
+  }
+  const uint32_t version = r.ReadU32();
+  if (r.status().ok() && version != kKbFormatVersion) {
+    return util::Status::Corruption("unsupported KB version: " + path);
   }
   *this = KnowledgeBase();
   // Every id read below is range-checked before use: construction helpers
   // like AddTriple CHECK-fail on bad ids, and a corrupt or bit-flipped file
   // must surface as Status::Corruption, never a crash.
-  if (!legacy) r.BeginSection();
+  r.BeginSection();
   const uint64_t nt = r.ReadU64();
   for (uint64_t i = 0; i < nt && r.status().ok(); ++i) {
     const std::string name = r.ReadString();
@@ -257,8 +252,8 @@ util::Status KnowledgeBase::Load(const std::string& path) {
   }
   const uint64_t nr = r.ReadU64();
   for (uint64_t i = 0; i < nr && r.status().ok(); ++i) AddRelation(r.ReadString());
-  if (!legacy) r.EndSection();
-  if (!legacy) r.BeginSection();
+  r.EndSection();
+  r.BeginSection();
   const uint64_t ne = r.ReadU64();
   for (uint64_t i = 0; i < ne && r.status().ok(); ++i) {
     Entity e;
@@ -282,8 +277,8 @@ util::Status KnowledgeBase::Load(const std::string& path) {
     }
     AddEntity(std::move(e));
   }
-  if (!legacy) r.EndSection();
-  if (!legacy) r.BeginSection();
+  r.EndSection();
+  r.BeginSection();
   const uint64_t ntr = r.ReadU64();
   for (uint64_t i = 0; i < ntr && r.status().ok(); ++i) {
     const EntityId s = r.ReadI64();
@@ -311,8 +306,8 @@ util::Status KnowledgeBase::Load(const std::string& path) {
       AddSubclass(child, parent);
     }
   }
-  if (!legacy) r.EndSection();
-  if (!legacy) r.VerifyFooter();
+  r.EndSection();
+  r.VerifyFooter();
   if (!r.status().ok()) {
     return util::Status::Corruption(r.status().message() + ": " + path);
   }

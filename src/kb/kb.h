@@ -127,8 +127,8 @@ class KnowledgeBase {
   /// footer), written atomically via temp file + rename. Load verifies
   /// checksums and every id range, rejecting truncation, bit flips, and
   /// trailing garbage with Status::Corruption — never a crash or oversized
-  /// allocation — and still reads legacy v0 files. On a non-OK Load the KB
-  /// contents are unspecified; reload before use.
+  /// allocation — including a file in the retired unchecksummed v0 layout.
+  /// On a non-OK Load the KB contents are unspecified; reload before use.
   util::Status Save(const std::string& path) const;
   util::Status Load(const std::string& path);
 

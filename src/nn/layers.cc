@@ -21,15 +21,10 @@ Var Linear::Forward(const Var& x) const {
   return tensor::AddRowBroadcast(tensor::MatMul(x, weight_), bias_);
 }
 
-Tensor Linear::ForwardValue(const Tensor& x, const backend::Backend* be) const {
+Tensor Linear::ForwardValue(const Tensor& x) const {
   BOOTLEG_CHECK_EQ(x.size(1), in_);
-  if (be == nullptr) be = backend::Backend::ReferenceInstance();
-  return be->LinearForward(x, weight_.value(), bias_.value());
-}
-
-void Linear::AppendFrozenWeights(
-    const std::string& name, std::vector<backend::FrozenWeight>* out) const {
-  out->push_back({name, &weight_.value(), &bias_.value()});
+  return tensor::AddRowBroadcast(tensor::MatMul(x, weight_.value()),
+                                 bias_.value());
 }
 
 LayerNormLayer::LayerNormLayer(ParameterStore* store, const std::string& prefix,
@@ -65,15 +60,8 @@ Var FeedForward::Forward(const Var& x, util::Rng* rng, bool train) const {
   return fc2_.Forward(h);
 }
 
-Tensor FeedForward::ForwardValue(const Tensor& x,
-                                 const backend::Backend* be) const {
-  return fc2_.ForwardValue(tensor::Gelu(fc1_.ForwardValue(x, be)), be);
-}
-
-void FeedForward::AppendFrozenWeights(
-    const std::string& name, std::vector<backend::FrozenWeight>* out) const {
-  fc1_.AppendFrozenWeights(name + ".fc1", out);
-  fc2_.AppendFrozenWeights(name + ".fc2", out);
+Tensor FeedForward::ForwardValue(const Tensor& x) const {
+  return fc2_.ForwardValue(tensor::Gelu(fc1_.ForwardValue(x)));
 }
 
 Mlp::Mlp(ParameterStore* store, const std::string& prefix,
@@ -98,20 +86,13 @@ Var Mlp::Forward(const Var& x, util::Rng* rng, bool train) const {
   return h;
 }
 
-Tensor Mlp::ForwardValue(const Tensor& x, const backend::Backend* be) const {
+Tensor Mlp::ForwardValue(const Tensor& x) const {
   Tensor h = x;
   for (size_t i = 0; i < layers_.size(); ++i) {
-    h = layers_[i].ForwardValue(h, be);
+    h = layers_[i].ForwardValue(h);
     if (i + 1 < layers_.size()) h = tensor::Relu(h);
   }
   return h;
-}
-
-void Mlp::AppendFrozenWeights(const std::string& name,
-                              std::vector<backend::FrozenWeight>* out) const {
-  for (size_t i = 0; i < layers_.size(); ++i) {
-    layers_[i].AppendFrozenWeights(name + ".l" + std::to_string(i), out);
-  }
 }
 
 Tensor SinusoidalPositionTable(int64_t max_len, int64_t dim) {

@@ -4,7 +4,6 @@
 #include <string>
 #include <vector>
 
-#include "backend/backend.h"
 #include "nn/param_store.h"
 #include "tensor/autograd.h"
 #include "util/rng.h"
@@ -20,16 +19,7 @@ class Linear {
   tensor::Var Forward(const tensor::Var& x) const;
 
   /// Forward-only fast path: same kernels as Forward, no tape allocation.
-  /// With a backend, routes through Backend::LinearForward (the reference
-  /// backend reproduces this function's kernels exactly); nullptr means the
-  /// process-wide reference backend.
-  tensor::Tensor ForwardValue(const tensor::Tensor& x,
-                              const backend::Backend* be = nullptr) const;
-
-  /// Registers this layer's weight/bias under `name` for Backend::LoadModel.
-  /// The appended pointers stay owned by the parameter store.
-  void AppendFrozenWeights(const std::string& name,
-                           std::vector<backend::FrozenWeight>* out) const;
+  tensor::Tensor ForwardValue(const tensor::Tensor& x) const;
 
   int64_t in_dim() const { return in_; }
   int64_t out_dim() const { return out_; }
@@ -82,12 +72,7 @@ class FeedForward {
   tensor::Var Forward(const tensor::Var& x, util::Rng* rng, bool train) const;
 
   /// Eval-mode forward without tape (dropout is the identity at eval time).
-  tensor::Tensor ForwardValue(const tensor::Tensor& x,
-                              const backend::Backend* be = nullptr) const;
-
-  /// Registers fc1/fc2 as `name + ".fc1"` / `".fc2"` (see Linear).
-  void AppendFrozenWeights(const std::string& name,
-                           std::vector<backend::FrozenWeight>* out) const;
+  tensor::Tensor ForwardValue(const tensor::Tensor& x) const;
 
  private:
   Linear fc1_;
@@ -106,12 +91,7 @@ class Mlp {
   tensor::Var Forward(const tensor::Var& x, util::Rng* rng, bool train) const;
 
   /// Eval-mode forward without tape (dropout is the identity at eval time).
-  tensor::Tensor ForwardValue(const tensor::Tensor& x,
-                              const backend::Backend* be = nullptr) const;
-
-  /// Registers every layer as `name + ".l<i>"` (see Linear).
-  void AppendFrozenWeights(const std::string& name,
-                           std::vector<backend::FrozenWeight>* out) const;
+  tensor::Tensor ForwardValue(const tensor::Tensor& x) const;
 
  private:
   std::vector<Linear> layers_;

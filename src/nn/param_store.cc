@@ -78,9 +78,8 @@ int64_t ParameterStore::EmbeddingParamCount() const {
 
 namespace {
 
-// Snapshot format magics. v0 is the legacy unchecksummed layout; v1 adds the
-// version word, per-section CRC32s, and (at file level) a footer.
-constexpr uint32_t kMagicV0 = 0xB0071E60;
+// Snapshot format magic. v1 carries a version word, per-section CRC32s, and
+// (at file level) a footer.
 constexpr uint32_t kMagicV1 = 0xB0071E61;
 constexpr uint32_t kFormatVersion = 1;
 
@@ -126,18 +125,14 @@ void ParameterStore::SaveTo(util::BinaryWriter* w) const {
 }
 
 util::Status ParameterStore::LoadFrom(util::BinaryReader* r) {
-  const uint32_t magic = r->ReadU32();
-  const bool legacy = magic == kMagicV0;
-  if (!legacy) {
-    if (magic != kMagicV1) {
-      return util::Status::Corruption("bad checkpoint magic");
-    }
-    const uint32_t version = r->ReadU32();
-    if (r->status().ok() && version != kFormatVersion) {
-      return util::Status::Corruption("unsupported checkpoint version");
-    }
+  if (r->ReadU32() != kMagicV1) {
+    return util::Status::Corruption("bad checkpoint magic");
   }
-  if (!legacy) r->BeginSection();
+  const uint32_t version = r->ReadU32();
+  if (r->status().ok() && version != kFormatVersion) {
+    return util::Status::Corruption("unsupported checkpoint version");
+  }
+  r->BeginSection();
   const uint64_t np = r->ReadU64();
   for (uint64_t i = 0; i < np && r->status().ok(); ++i) {
     const std::string name = r->ReadString();
@@ -157,8 +152,8 @@ util::Status ParameterStore::LoadFrom(util::BinaryReader* r) {
     }
     it->second.mutable_value() = std::move(t);
   }
-  if (!legacy) r->EndSection();
-  if (!legacy) r->BeginSection();
+  r->EndSection();
+  r->BeginSection();
   const uint64_t ne = r->ReadU64();
   for (uint64_t i = 0; i < ne && r->status().ok(); ++i) {
     const std::string name = r->ReadString();
@@ -177,7 +172,7 @@ util::Status ParameterStore::LoadFrom(util::BinaryReader* r) {
     }
     e->table() = Tensor({rows, cols}, std::move(data));
   }
-  if (!legacy) r->EndSection();
+  r->EndSection();
   return r->status();
 }
 
@@ -191,14 +186,10 @@ util::Status ParameterStore::Save(const std::string& path) const {
 }
 
 util::Status ParameterStore::Load(const std::string& path) {
-  // Probe the magic first: legacy v0 files have no footer to verify.
-  util::BinaryReader probe(path);
-  BOOTLEG_RETURN_IF_ERROR(probe.status());
-  const bool legacy = probe.ReadU32() == kMagicV0;
-
   util::BinaryReader r(path);
+  BOOTLEG_RETURN_IF_ERROR(r.status());
   util::Status st = LoadFrom(&r);
-  if (st.ok() && !legacy) {
+  if (st.ok()) {
     r.VerifyFooter();
     st = r.status();
   }

@@ -68,8 +68,9 @@ class ParameterStore {
   /// `path` always holds either the previous or the new complete snapshot.
   /// Load verifies checksums and rejects truncation, bit flips, and trailing
   /// garbage with Status::Corruption — never a crash or oversized allocation
-  /// — and still reads legacy v0 (unchecksummed) files. On a non-OK Load the
-  /// store's values are unspecified; reload or reinitialize before use.
+  /// — including a file in the retired unchecksummed v0 layout. On a non-OK
+  /// Load the store's values are unspecified; reload or reinitialize before
+  /// use.
   util::Status Save(const std::string& path) const;
   util::Status Load(const std::string& path);
 

@@ -1,14 +1,28 @@
 #include "serve/batcher.h"
 
+#include <algorithm>
+
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "util/logging.h"
 
 namespace bootleg::serve {
 
+namespace {
+
+/// A worker count below 1 would leave nobody to drain the queue, and a batch
+/// cap below 1 would make every dispatch take nothing; both mean 1.
+BatcherOptions Clamped(BatcherOptions options) {
+  options.max_batch = std::max(options.max_batch, 1);
+  options.workers = std::max(options.workers, 1);
+  return options;
+}
+
+}  // namespace
+
 MicroBatcher::MicroBatcher(BatcherOptions options, BatchFn batch_fn,
                            ReloadFn reload_fn, ServerCounters* counters)
-    : options_(options),
+    : options_(Clamped(options)),
       batch_fn_(std::move(batch_fn)),
       reload_fn_(std::move(reload_fn)),
       counters_(counters),
@@ -19,9 +33,8 @@ MicroBatcher::MicroBatcher(BatcherOptions options, BatchFn batch_fn,
       queue_depth_gauge_(
           obs::MetricsRegistry::Global().GetGauge("serve.queue_depth")),
       shed_counter_(obs::MetricsRegistry::Global().GetCounter("serve.shed")) {
-  const int n = options_.workers < 1 ? 1 : options_.workers;
-  workers_.reserve(static_cast<size_t>(n));
-  for (int w = 0; w < n; ++w) {
+  workers_.reserve(static_cast<size_t>(options_.workers));
+  for (int w = 0; w < options_.workers; ++w) {
     workers_.emplace_back([this, w] { WorkerLoop(w); });
   }
 }

@@ -22,13 +22,13 @@ namespace bootleg::serve {
 
 /// Policy knobs for work-conserving micro-batching.
 struct BatcherOptions {
-  /// Largest batch one dispatch may take from the queue.
+  /// Largest batch one dispatch may take from the queue (below 1 means 1).
   int max_batch = 8;
   /// Bounded queue depth; Submit rejects with Unavailable beyond this.
   size_t max_queue = 64;
   /// Consumer threads pulling batches. Each worker owns one preallocated
   /// InferenceScratch; the tensor kernels inside a batch additionally fan
-  /// out onto the global util::ThreadPool.
+  /// out onto the global util::ThreadPool. Below 1 means 1.
   int workers = 1;
 };
 
@@ -60,7 +60,7 @@ struct BatcherOptions {
 ///     fulfilled; nothing is dropped.
 ///
 /// The batch function is injectable so tests can drive the queueing logic
-/// with a synthetic (blockable) backend; production wires it to
+/// with a synthetic (blockable) stand-in; production wires it to
 /// InferenceEngine::Disambiguate.
 class MicroBatcher {
  public:

@@ -4,7 +4,6 @@
 #include <chrono>
 #include <utility>
 
-#include "backend/backend.h"
 #include "core/model_loader.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
@@ -109,29 +108,7 @@ util::Status InferenceEngine::Initialize() {
     // The store holds the frozen entity rows; drop the duplicate heap table.
     model_->ReleaseEntityTableForServing();
   }
-
-  // Install the inference backend last: SetInferenceBackend registers the
-  // (now final) frozen weights, which is where a quantizing backend packs
-  // its int8 copies.
-  auto be = backend::Backend::Create(options_.backend);
-  if (!be.ok()) return be.status();
-  model_->SetInferenceBackend(std::move(be).value());
-  PublishBackendGauges();
   return util::Status::OK();
-}
-
-void InferenceEngine::PublishBackendGauges() const {
-  const backend::BackendStats st = model_->inference_backend()->stats();
-  obs::MetricsRegistry& reg = obs::MetricsRegistry::Global();
-  reg.GetGauge("backend.simd_active")->Set(st.simd_active ? 1.0 : 0.0);
-  reg.GetGauge("backend.quant_block")
-      ->Set(static_cast<double>(st.quant_block));
-  reg.GetGauge("backend.quantized_tensors")
-      ->Set(static_cast<double>(st.quantized_tensors));
-  reg.GetGauge("backend.quantized_bytes")
-      ->Set(static_cast<double>(st.quantized_bytes));
-  reg.GetGauge("backend.quant_max_abs_error")->Set(st.quant_max_abs_error);
-  reg.GetGauge("backend.quant_mean_abs_error")->Set(st.quant_mean_abs_error);
 }
 
 util::Status InferenceEngine::AdoptNewestStoreGeneration() {
@@ -320,10 +297,7 @@ util::Status InferenceEngine::Reload() {
   if (!loaded.ok()) return loaded.status();
   if (loaded.value() == loaded_path_) return util::Status::OK();
   loaded_path_ = loaded.value();
-  // Re-freezing also re-registers the weights with the backend, refreshing
-  // any quantized copies; republish the gauges they feed.
   model_->PrepareFrozenInference();
-  PublishBackendGauges();
   BOOTLEG_LOG(Info) << "hot-reloaded weights from " << loaded_path_;
   return util::Status::OK();
 }

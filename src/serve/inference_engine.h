@@ -40,11 +40,6 @@ struct EngineOptions {
   /// one fixed set of weights); incompatible with checkpoint_dir. Reload()
   /// then re-scans for a newer store generation instead of newer weights.
   std::string store_dir;
-  /// Inference backend: "ref" (scalar reference kernels), "simd" (runtime-
-  /// dispatched AVX2/FMA kernels, bit-identical to ref), or "simd_q8" (SIMD
-  /// plus block-int8 quantized frozen weights — argmax-stable, not
-  /// bit-identical). See backend/backend.h.
-  std::string backend = "ref";
   /// Hot-set residency budget for the mapped store, in bytes. When > 0 (and
   /// store_dir is set), each adopted generation runs a popularity-clock
   /// residency manager: batch-ahead MADV_WILLNEED of the shards a gather
@@ -215,8 +210,6 @@ class InferenceEngine {
   /// Opens the newest generation under options_.store_dir and points the
   /// model's frozen gather path at it. Publishes store gauges on success.
   util::Status AdoptNewestStoreGeneration();
-  /// Publishes the backend.* gauges from the active backend's stats().
-  void PublishBackendGauges() const;
 
   EngineOptions options_;
   kb::KnowledgeBase kb_;

@@ -4,7 +4,6 @@
 #include <future>
 #include <utility>
 
-#include "backend/backend.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "serve/json.h"
@@ -533,27 +532,6 @@ std::string Server::StatsReply() {
       }
       reply.Set("store", std::move(jstore));
     }
-
-    // Active inference backend, next to the store block it complements:
-    // which kernels serve the frozen compute, and how lossy the quantized
-    // weight copies are (zeros for non-quantizing backends).
-    const backend::BackendStats bs =
-        engine_->model().inference_backend()->stats();
-    Json jbackend = Json::Object();
-    jbackend.Set("name", Json::Str(bs.name));
-    jbackend.Set("isa", Json::Str(bs.isa));
-    jbackend.Set("simd_active", Json::Bool(bs.simd_active));
-    jbackend.Set("quant_block",
-                 Json::Number(static_cast<double>(bs.quant_block)));
-    jbackend.Set("quantized_tensors",
-                 Json::Number(static_cast<double>(bs.quantized_tensors)));
-    jbackend.Set("quantized_bytes",
-                 Json::Number(static_cast<double>(bs.quantized_bytes)));
-    jbackend.Set("quant_max_abs_error",
-                 Json::Number(bs.quant_max_abs_error));
-    jbackend.Set("quant_mean_abs_error",
-                 Json::Number(bs.quant_mean_abs_error));
-    reply.Set("backend", std::move(jbackend));
   }
   return reply.Dump();
 }

@@ -1,8 +1,11 @@
 #include "tensor/tensor.h"
 
 #include <cmath>
+#include <cstring>
 #include <sstream>
 
+#include "backend/simd_kernels.h"
+#include "backend/simd_primitives.h"
 #include "util/thread_pool.h"
 
 namespace bootleg::tensor {
@@ -53,11 +56,19 @@ void Dispatch(int64_t n, int64_t grain, F&& fn) {
   }
 }
 
-/// C rows [i0, i1) of C = A·B, k-tiled so each B panel is reused across the
-/// row block. Per output element the k-accumulation order is ascending,
-/// matching MatMulReference on finite data.
-void MatMulRowRange(const float* pa, const float* pb, float* pc, int64_t i0,
-                    int64_t i1, int64_t k, int64_t n) {
+/// Dot products of MatMulTransposedB accumulate into this many lanes (see
+/// portable::MatMulTBRows).
+constexpr int64_t kTBLanes = 16;
+
+}  // namespace
+
+namespace portable {
+
+/// k-tiled so each B panel is reused across the row block. Per output element
+/// the k-accumulation order is ascending, matching MatMulReference on finite
+/// data.
+void MatMulRows(const float* pa, const float* pb, float* pc, int64_t i0,
+                int64_t i1, int64_t k, int64_t n) {
   for (int64_t kk0 = 0; kk0 < k; kk0 += kKTile) {
     const int64_t kk1 = std::min(k, kk0 + kKTile);
     for (int64_t i = i0; i < i1; ++i) {
@@ -88,16 +99,14 @@ void MatMulRowRange(const float* pa, const float* pb, float* pc, int64_t i0,
   }
 }
 
-/// C rows [i0, i1) of C = A·Bᵀ. A plain dot-product loop is a serial FP
-/// dependency chain the compiler may not vectorize (FP addition is not
-/// associative), so each dot product accumulates into kTBLanes independent
-/// lanes — lane l sums terms kk ≡ l (mod kTBLanes) — and folds the lanes in
-/// fixed index order. The order depends only on k, never on the thread
-/// partition, so results stay bit-identical at every thread count.
-constexpr int64_t kTBLanes = 16;
-
-void MatMulTBRowRange(const float* pa, const float* pb, float* pc, int64_t i0,
-                      int64_t i1, int64_t k, int64_t n) {
+/// A plain dot-product loop is a serial FP dependency chain the compiler may
+/// not vectorize (FP addition is not associative), so each dot product
+/// accumulates into kTBLanes independent lanes — lane l sums terms
+/// kk ≡ l (mod kTBLanes) — and folds the lanes in fixed index order. The order
+/// depends only on k, never on the thread partition, so results stay
+/// bit-identical at every thread count.
+void MatMulTBRows(const float* pa, const float* pb, float* pc, int64_t i0,
+                  int64_t i1, int64_t k, int64_t n) {
   if (k < kTBLanes) {
     // Short reductions (backward of vector-valued heads has k as small as 1):
     // every lane would be zero, so the fold is pure overhead. The branch
@@ -140,16 +149,16 @@ void MatMulTBRowRange(const float* pa, const float* pb, float* pc, int64_t i0,
   }
 }
 
-/// C rows [i0, i1) of C = Aᵀ·B for A [k,m]: the reduction axis walks A down a
-/// column (stride m), k-tiled so B panels stay hot across the row block.
-void MatMulTARowRange(const float* pa, const float* pb, float* pc, int64_t i0,
-                      int64_t i1, int64_t k, int64_t m, int64_t n) {
+/// The reduction axis walks A down a column (stride m), k-tiled so B panels
+/// stay hot across the row block.
+void MatMulTARows(const float* pa, const float* pb, float* pc, int64_t i0,
+                  int64_t i1, int64_t k, int64_t m, int64_t n) {
   for (int64_t kk0 = 0; kk0 < k; kk0 += kKTile) {
     const int64_t kk1 = std::min(k, kk0 + kKTile);
     for (int64_t i = i0; i < i1; ++i) {
       float* crow = pc + i * n;
       int64_t kk = kk0;
-      // Same 4-way unroll as MatMulRowRange: ascending adds, one crow
+      // Same 4-way unroll as MatMulRows: ascending adds, one crow
       // round-trip per four reduction steps.
       for (; kk + 4 <= kk1; kk += 4) {
         const float a0 = pa[kk * m + i], a1 = pa[(kk + 1) * m + i];
@@ -172,7 +181,65 @@ void MatMulTARowRange(const float* pa, const float* pb, float* pc, int64_t i0,
   }
 }
 
+}  // namespace portable
+
+namespace {
+
+bool BitEqual(const Tensor& a, const Tensor& b) {
+  return std::memcmp(a.data(), b.data(),
+                     sizeof(float) * static_cast<size_t>(a.numel())) == 0;
+}
+
+/// The bit-identity probe behind SimdTilesActive(): runs the SIMD tiles
+/// against the portable loops on shapes that reach every tile branch — 32-,
+/// 16- and 8-wide column blocks and scalar column tails, 8-, 6-, 4- and
+/// 1-row blocks, k tails, the n = 1 matvec the scorer uses, and transposed-B
+/// k tails and 4-column blocks. Any bitwise mismatch keeps the portable loops:
+/// in a -O1 sanitizer build, for one, the compiler does not contract the
+/// portable multiply-adds into FMA.
+bool ProbeSimdTiles() {
+  if (!backend::CpuHasAvx2Fma()) return false;
+  // Every process pays for this once, at its first matmul: keep the shapes
+  // small and the data cheap to draw.
+  util::Rng rng(20260808);
+  const int64_t shapes[][3] = {
+      {1, 16, 40}, {2, 5, 3},    {3, 33, 7}, {4, 64, 16},
+      {5, 67, 35}, {6, 130, 24}, {9, 64, 1}, {8, 21, 56},
+  };
+  for (const auto& shape : shapes) {
+    const int64_t m = shape[0], k = shape[1], n = shape[2];
+    const Tensor a = Tensor::RandUniform({m, k}, &rng, 1.0f);
+    const Tensor b = Tensor::RandUniform({k, n}, &rng, 1.0f);
+    Tensor tiles({m, n}), loops({m, n});
+    backend::simd::MatMulRows(a.data(), b.data(), tiles.data(), 0, m, k, n);
+    portable::MatMulRows(a.data(), b.data(), loops.data(), 0, m, k, n);
+    if (!BitEqual(tiles, loops)) return false;
+
+    const Tensor at = Tensor::RandUniform({k, m}, &rng, 1.0f);
+    tiles = Tensor({m, n});
+    loops = Tensor({m, n});
+    backend::simd::MatMulTARows(at.data(), b.data(), tiles.data(), 0, m, k, m,
+                                n);
+    portable::MatMulTARows(at.data(), b.data(), loops.data(), 0, m, k, m, n);
+    if (!BitEqual(tiles, loops)) return false;
+
+    if (k < kTBLanes) continue;  // MatMulTransposedB keeps its loops there
+    const Tensor bt = Tensor::RandUniform({n, k}, &rng, 1.0f);
+    tiles = Tensor({m, n});
+    loops = Tensor({m, n});
+    backend::simd::MatMulTBRows(a.data(), bt.data(), tiles.data(), 0, m, k, n);
+    portable::MatMulTBRows(a.data(), bt.data(), loops.data(), 0, m, k, n);
+    if (!BitEqual(tiles, loops)) return false;
+  }
+  return true;
+}
+
 }  // namespace
+
+bool SimdTilesActive() {
+  static const bool active = ProbeSimdTiles();
+  return active;
+}
 
 Tensor::Tensor(std::vector<int64_t> shape) : shape_(std::move(shape)) {
   data_.assign(static_cast<size_t>(NumelOf(shape_)), 0.0f);
@@ -277,9 +344,15 @@ Tensor MatMul(const Tensor& a, const Tensor& b) {
   const float* pa = a.data();
   const float* pb = b.data();
   float* pc = c.data();
-  Dispatch(m, RowGrain(k * n), [pa, pb, pc, k, n](int64_t i0, int64_t i1) {
-        MatMulRowRange(pa, pb, pc, i0, i1, k, n);
-      });
+  const bool tiles = SimdTilesActive();
+  Dispatch(m, RowGrain(k * n),
+           [pa, pb, pc, k, n, tiles](int64_t i0, int64_t i1) {
+             if (tiles) {
+               backend::simd::MatMulRows(pa, pb, pc, i0, i1, k, n);
+             } else {
+               portable::MatMulRows(pa, pb, pc, i0, i1, k, n);
+             }
+           });
   return c;
 }
 
@@ -315,9 +388,18 @@ Tensor MatMulTransposedB(const Tensor& a, const Tensor& b) {
   const float* pa = a.data();
   const float* pb = b.data();
   float* pc = c.data();
-  Dispatch(m, RowGrain(k * n), [pa, pb, pc, k, n](int64_t i0, int64_t i1) {
-        MatMulTBRowRange(pa, pb, pc, i0, i1, k, n);
-      });
+  // The tiles skip the short-reduction branch (k < kTBLanes), whose rounding
+  // sequence is a compiler artifact not worth replicating; attention scores
+  // have k = head_dim >= 16.
+  const bool tiles = k >= kTBLanes && SimdTilesActive();
+  Dispatch(m, RowGrain(k * n),
+           [pa, pb, pc, k, n, tiles](int64_t i0, int64_t i1) {
+             if (tiles) {
+               backend::simd::MatMulTBRows(pa, pb, pc, i0, i1, k, n);
+             } else {
+               portable::MatMulTBRows(pa, pb, pc, i0, i1, k, n);
+             }
+           });
   return c;
 }
 
@@ -352,9 +434,15 @@ Tensor MatMulTransposedA(const Tensor& a, const Tensor& b) {
   const float* pa = a.data();
   const float* pb = b.data();
   float* pc = c.data();
-  Dispatch(m, RowGrain(k * n), [pa, pb, pc, k, m, n](int64_t i0, int64_t i1) {
-        MatMulTARowRange(pa, pb, pc, i0, i1, k, m, n);
-      });
+  const bool tiles = SimdTilesActive();
+  Dispatch(m, RowGrain(k * n),
+           [pa, pb, pc, k, m, n, tiles](int64_t i0, int64_t i1) {
+             if (tiles) {
+               backend::simd::MatMulTARows(pa, pb, pc, i0, i1, k, m, n);
+             } else {
+               portable::MatMulTARows(pa, pb, pc, i0, i1, k, m, n);
+             }
+           });
   return c;
 }
 

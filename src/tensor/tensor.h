@@ -119,6 +119,28 @@ Tensor MatMulTransposedB(const Tensor& a, const Tensor& b);
 /// C = Aᵀ·B for 2-D A [k,m] and B [k,n].
 Tensor MatMulTransposedA(const Tensor& a, const Tensor& b);
 
+/// True when the three kernels above run the AVX2/AVX-512 register tiles of
+/// backend/simd_kernels.h (MatMulTransposedB only at k >= 16) instead of the
+/// portable loops below. A probe decides once per process: the tiles must be
+/// compiled in, run on this CPU, and reproduce the portable loops bit for
+/// bit. Results are the same either way; only speed differs.
+bool SimdTilesActive();
+
+/// The portable loops behind MatMul, MatMulTransposedA and MatMulTransposedB:
+/// rows [i0, i1) of a zero-initialized row-major C. They run wherever the
+/// probe rejects the tiles (no AVX2, BOOTLEG_PORTABLE, -O1 sanitizer builds).
+namespace portable {
+/// A [m,k], B [k,n].
+void MatMulRows(const float* pa, const float* pb, float* pc, int64_t i0,
+                int64_t i1, int64_t k, int64_t n);
+/// A [k,m], B [k,n].
+void MatMulTARows(const float* pa, const float* pb, float* pc, int64_t i0,
+                  int64_t i1, int64_t k, int64_t m, int64_t n);
+/// A [m,k], B [n,k].
+void MatMulTBRows(const float* pa, const float* pb, float* pc, int64_t i0,
+                  int64_t i1, int64_t k, int64_t n);
+}  // namespace portable
+
 /// Naive single-threaded kernels preserved verbatim from before the blocked
 /// rewrite. The equivalence tests pin the production kernels to these, and
 /// the bench harness reports the blocked speedup against them.

@@ -44,18 +44,10 @@ class WordEncoder {
   /// so every sequence's output rows are bit-identical to
   /// Encode(seq, rng, /*train=*/false) on that sequence alone, with the
   /// projection matmuls batched across the whole stack and no tape built.
-  /// `ranges[i]` receives {first_row, num_rows} of sequence i. With a
-  /// backend, the attention layers run their compute cores through it
-  /// (nullptr: the process-wide reference backend).
+  /// `ranges[i]` receives {first_row, num_rows} of sequence i.
   tensor::Tensor EncodeBatchValue(
       const std::vector<const std::vector<int64_t>*>& sequences,
-      std::vector<std::pair<int64_t, int64_t>>* ranges,
-      const backend::Backend* be = nullptr) const;
-
-  /// Registers every attention layer's Linears under `name + ".layer<i>"`
-  /// for Backend::LoadModel.
-  void AppendFrozenWeights(const std::string& name,
-                           std::vector<backend::FrozenWeight>* out) const;
+      std::vector<std::pair<int64_t, int64_t>>* ranges) const;
 
   /// Contextualized mention embedding m: sum of the first and last token
   /// vectors of the mention span (paper Appendix A).

@@ -161,16 +161,17 @@ TEST(IoFuzzTest, HugeLengthPrefixIsBoundedByFileSize) {
   EXPECT_EQ(ri.status().code(), util::StatusCode::kCorruption);
 }
 
-TEST(IoFuzzTest, LegacyV0FilesStillLoad) {
-  // A v0-format ParameterStore file (old magic, no checksums or footer) must
-  // keep loading through the compatibility path.
-  const std::string path = FuzzDir() + "/legacy.bin";
+TEST(IoFuzzTest, LegacyV0FilesFailAsCorruption) {
+  // The unchecksummed v0 layouts are no longer read: a well-formed v0 file
+  // has no checksum to vouch for its bytes, so it must fail as corruption
+  // instead of loading whatever a flipped byte made of it.
+  const std::string store_path = FuzzDir() + "/legacy_store.bin";
   nn::ParameterStore store;
   util::Rng rng(5);
   store.CreateParam("w", Tensor::Randn({2, 3}, &rng));
   {
-    util::BinaryWriter w(path);
-    w.WriteU32(0xB0071E60);  // legacy magic
+    util::BinaryWriter w(store_path);
+    w.WriteU32(0xB0071E60);  // v0 ParameterStore magic
     w.WriteU64(1);           // one dense param
     w.WriteString("w");
     w.WriteI64Vector({2, 3});
@@ -178,8 +179,21 @@ TEST(IoFuzzTest, LegacyV0FilesStillLoad) {
     w.WriteU64(0);  // no embeddings
     ASSERT_TRUE(w.Finish().ok());
   }
-  ASSERT_TRUE(store.Load(path).ok());
-  for (float v : store.GetParam("w").value().vec()) EXPECT_EQ(v, 0.5f);
+  EXPECT_EQ(store.Load(store_path).code(), util::StatusCode::kCorruption);
+
+  const std::string kb_path = FuzzDir() + "/legacy_kb.bin";
+  {
+    util::BinaryWriter w(kb_path);
+    w.WriteU32(0xB0071EB0);  // v0 KB magic
+    w.WriteU64(0);           // types
+    w.WriteU64(0);           // relations
+    w.WriteU64(0);           // entities
+    w.WriteU64(0);           // triples
+    w.WriteU64(0);           // subclass edges
+    ASSERT_TRUE(w.Finish().ok());
+  }
+  kb::KnowledgeBase kb;
+  EXPECT_EQ(kb.Load(kb_path).code(), util::StatusCode::kCorruption);
 }
 
 }  // namespace

@@ -441,6 +441,26 @@ TEST(MicroBatcherTest, CoalescesQueuedRequestsIntoOneBatch) {
   EXPECT_DOUBLE_EQ(counters.MeanBatchSize(), 2.5);
 }
 
+// A batch cap below 1 means 1: at max_batch 0 a dispatch used to take
+// nothing, so no request was ever answered and Shutdown's drain spun forever.
+TEST(MicroBatcherTest, MaxBatchBelowOneStillServesAndDrains) {
+  serve::ServerCounters counters;
+  serve::BatcherOptions options;
+  options.max_batch = 0;
+  serve::MicroBatcher batcher(
+      options,
+      [](const std::vector<serve::BatchItem>& items, int) {
+        return EchoBatch(items);
+      },
+      nullptr, &counters);
+  auto future = batcher.Submit(RequestName(0));
+  ASSERT_EQ(future.wait_for(std::chrono::seconds(2)),
+            std::future_status::ready);
+  ASSERT_TRUE(future.get().ok());
+  batcher.Shutdown();
+  EXPECT_EQ(batcher.max_batch_observed(), 1);
+}
+
 // Work-conserving dispatch: on an idle server a request runs the moment a
 // worker is free, alone, without waiting for siblings that never come.
 TEST(MicroBatcherTest, LoneRequestsDispatchImmediatelyOnDefaults) {

@@ -42,13 +42,11 @@
 //                                     embedding instead of [UNK]; clean text
 //                                     encodes bit-identically either way
 //                 [--ablation A]      config preset when no .meta sidecar
-//                 [--backend B]       inference backend: ref | simd | simd_q8
-//                                     (default ref; simd is bit-identical to
-//                                     ref, simd_q8 serves block-int8 weights)
 //                 [--no_trace]        disable per-stage trace spans
 //
 // Any other --flag is an error (exit 2): a typo or a retired flag must not
-// fall back to defaults silently.
+// fall back to defaults silently. So is an integer flag whose value is not
+// a whole number (`--max_batch abc`).
 //
 // Protocol: newline-delimited JSON; ops disambiguate / disambiguate_text
 // (raw text: sentence-split and mention-extracted server-side, mentions
@@ -60,8 +58,10 @@
 // deployments) or the newest store generation (--store_dir deployments);
 // corrupt candidates are skipped, and a failed reload keeps serving the
 // previous weights/generation.
+#include <cerrno>
 #include <csignal>
 #include <cstdio>
+#include <cstdlib>
 #include <cstring>
 #include <iostream>
 #include <map>
@@ -91,7 +91,7 @@ constexpr char kUsage[] =
 
 /// Same minimal --flag parser as bootleg_cli, minus the subcommand slot.
 /// Accepts both `--flag value` and `--flag=value`. Remembers which keys were
-/// read, so main can reject the ones it never asked for.
+/// read and which integer values did not parse, so main can reject both.
 class Flags {
  public:
   Flags(int argc, char** argv) {
@@ -117,19 +117,31 @@ class Flags {
   }
   int64_t GetInt(const std::string& key, int64_t fallback) const {
     auto it = Find(key);
-    return it == values_.end() ? fallback : std::atoll(it->second.c_str());
+    if (it == values_.end()) return fallback;
+    const std::string& text = it->second;
+    char* end = nullptr;
+    errno = 0;
+    const long long value = std::strtoll(text.c_str(), &end, 10);
+    if (text.empty() || *end != '\0' || errno == ERANGE) {
+      if (bad_value_.empty()) {
+        bad_value_ = "--" + key + " needs a whole number, got '" + text + "'";
+      }
+      return fallback;
+    }
+    return value;
   }
   double GetDouble(const std::string& key, double fallback) const {
     auto it = Find(key);
     return it == values_.end() ? fallback : std::atof(it->second.c_str());
   }
   bool Has(const std::string& key) const { return Find(key) != values_.end(); }
-  /// A flag on the command line that no getter has read yet ("" if none).
-  std::string FirstUnread() const {
+  /// The first command-line error ("" if none): a flag that no getter has
+  /// read, else an integer flag whose value is not a whole number.
+  std::string FirstError() const {
     for (const auto& [key, value] : values_) {
-      if (read_.count(key) == 0) return key;
+      if (read_.count(key) == 0) return "unknown flag --" + key;
     }
-    return "";
+    return bad_value_;
   }
 
  private:
@@ -141,6 +153,7 @@ class Flags {
 
   std::map<std::string, std::string> values_;
   mutable std::set<std::string> read_;
+  mutable std::string bad_value_;
 };
 
 }  // namespace
@@ -158,7 +171,6 @@ int main(int argc, char** argv) {
   engine_options.checkpoint_dir = flags.Get("checkpoint_dir");
   engine_options.store_dir = flags.Get("store_dir");
   engine_options.ablation = flags.Get("ablation", "full");
-  engine_options.backend = flags.Get("backend", "ref");
   engine_options.cache_capacity =
       static_cast<size_t>(flags.GetInt("cache", 4096));
   // Fractional MiB so budgets below 1 MiB (tiny drill/test stores) work.
@@ -189,9 +201,9 @@ int main(int argc, char** argv) {
   const bool use_stdin = flags.Has("stdin");
   const int port = static_cast<int>(flags.GetInt("port", 0));
 
-  const std::string unknown = flags.FirstUnread();
-  if (!unknown.empty()) {
-    std::fprintf(stderr, "unknown flag --%s\n%s", unknown.c_str(), kUsage);
+  const std::string flag_error = flags.FirstError();
+  if (!flag_error.empty()) {
+    std::fprintf(stderr, "%s\n%s", flag_error.c_str(), kUsage);
     return 2;
   }
   if (engine_options.data_dir.empty()) {

@@ -4,10 +4,12 @@
 #
 #   1. Release build + complete ctest suite (tier-1 gate).
 #   2. ASan build: corruption fuzzing, checkpoint/resume, io, parallel,
-#      serve, backend equivalence; UBSan build: serve + net (request
-#      parsing, batching and framing of untrusted bytes).
+#      serve, the kernel path; UBSan build: serve + net (request parsing,
+#      batching and framing of untrusted bytes), io fuzzing, the index and
+#      raw-text robustness, and the tensor kernels (the probe still runs the
+#      SIMD tiles there, on its shapes, before rejecting them at -O1).
 #   3. TSan build: checkpointed data-parallel training + parallel + serve +
-#      backend equivalence.
+#      the kernel path.
 #   4. CLI crash-recovery drill: train with checkpointing, kill the run
 #      mid-checkpoint-write via fault injection (leaving a torn temp file),
 #      corrupt the newest checkpoint, resume, and verify the final model is
@@ -15,7 +17,8 @@
 #   5. Serve smoke drill: bring up bootleg_serve on the tiny model from (4),
 #      drive it over stdin and TCP with concurrent clients (malformed lines
 #      included), assert stats are sane, hot-reload via SIGHUP, and verify a
-#      clean SIGTERM shutdown. An unknown flag must exit 2.
+#      clean SIGTERM shutdown. An unknown or retired flag (--max_wait_us,
+#      --backend) and a non-integer integer flag must exit 2.
 #   6. Observability self-check: metrics/trace unit tests, the stats op must
 #      export the metrics registry (queue-wait histogram included) and
 #      per-stage spans covering a request end to end, and `train --trace_out`
@@ -24,25 +27,20 @@
 #      verify every shard checksum, serve from the store, then export a new
 #      int8 generation and SIGHUP-swap it in under concurrent load — no
 #      request may drop, and stats must report the new generation.
-#   8. Backend drill: serve the same requests under --backend ref, simd, and
-#      simd_q8. The ref and simd reply streams must be byte-identical (on
-#      hosts without AVX2 the simd backend's probe delegates to the reference
-#      kernels, so the check holds everywhere), simd_q8 must answer every
-#      request without error, and the stats op must name the active backend.
-#   9. Overload drill: hammer the epoll front end with ~10x more pipelined
+#   8. Overload drill: hammer the epoll front end with ~10x more pipelined
 #      clients than the admission watermark admits, plus slowloris, dead
 #      readers and an over-cap request line. Every overflow request must get
 #      a structured overloaded/deadline_exceeded/transport reply (no stalls,
 #      no crash), every hostile client must be disconnected, accepted-request
 #      p99 must stay bounded, RSS must not balloon, and stats must stay
 #      reachable afterwards and report the shedding counters.
-#  10. Live-add drill: serve from the store, add_entity a never-trained
+#   9. Live-add drill: serve from the store, add_entity a never-trained
 #      entity while concurrent clients keep disambiguating (the generation
 #      swap is in-process — no SIGHUP, no restart, zero dropped requests),
 #      query the new entity immediately, compact the delta chain with
 #      `bootleg_cli compact`, SIGHUP onto the flat generation, and verify
 #      the entity still serves and the store still checks out.
-#  11. Residency drill: serve the same request set from an unmanaged store
+#  10. Residency drill: serve the same request set from an unmanaged store
 #      and from one budgeted to 50% of its mapped bytes
 #      (--resident_budget_mb). The reply streams must be byte-identical
 #      (advisories never change gathered bytes), stats must report the
@@ -50,7 +48,7 @@
 #      evictions, prefetches), the sweep-sampled resident bytes must honor
 #      the budget, and the budgeted server's VmRSS must stay bounded by the
 #      unmanaged server's.
-#  12. Robustness drill: raw-text serving end to end. A `disambiguate_text`
+#  11. Robustness drill: raw-text serving end to end. A `disambiguate_text`
 #      request carrying one sentence must reply byte-identically to the
 #      pre-segmented `disambiguate` op; a multi-sentence document must
 #      report per-mention sentence indices and document-level spans and be
@@ -69,13 +67,13 @@ SKIP_SAN=0
 
 JOBS="$(nproc)"
 
-echo "==> [1/12] Release build + full test suite"
+echo "==> [1/11] Release build + full test suite"
 cmake -B build -S . >/dev/null
 cmake --build build -j"$JOBS" >/dev/null
 (cd build && ctest --output-on-failure)
 
 if [[ "$SKIP_SAN" == "0" ]]; then
-  echo "==> [2/12] ASan: fuzz + checkpoint + io + parallel + serve"
+  echo "==> [2/11] ASan: fuzz + checkpoint + io + parallel + serve"
   cmake -B build-asan -S . -DBOOTLEG_SANITIZE=address >/dev/null
   cmake --build build-asan -j"$JOBS" \
     --target io_fuzz_test checkpoint_test util_test robustness_test \
@@ -88,15 +86,18 @@ if [[ "$SKIP_SAN" == "0" ]]; then
     ./build-asan/tests/"$t" >/dev/null
   done
 
-  echo "==> [2/12] UBSan: serve + net"
+  echo "==> [2/11] UBSan: serve + net + io fuzz + robust + index + kernels"
   cmake -B build-ubsan -S . -DBOOTLEG_SANITIZE=undefined >/dev/null
-  cmake --build build-ubsan -j"$JOBS" --target serve_test net_test >/dev/null
-  for t in serve_test net_test; do
+  cmake --build build-ubsan -j"$JOBS" \
+    --target serve_test net_test io_fuzz_test robust_test index_test \
+             parallel_test tensor_test >/dev/null
+  for t in serve_test net_test io_fuzz_test robust_test index_test \
+           parallel_test tensor_test; do
     echo "  ubsan: $t"
     UBSAN_OPTIONS=print_stacktrace=1 ./build-ubsan/tests/"$t" >/dev/null
   done
 
-  echo "==> [3/12] TSan: checkpointed parallel training + serving under load"
+  echo "==> [3/11] TSan: checkpointed parallel training + serving under load"
   cmake -B build-tsan -S . -DBOOTLEG_SANITIZE=thread >/dev/null
   cmake --build build-tsan -j"$JOBS" \
     --target checkpoint_test parallel_test serve_test metrics_test \
@@ -107,10 +108,10 @@ if [[ "$SKIP_SAN" == "0" ]]; then
     ./build-tsan/tests/"$t" >/dev/null
   done
 else
-  echo "==> [2/12],[3/12] sanitizer stages skipped (--skip-san)"
+  echo "==> [2/11],[3/11] sanitizer stages skipped (--skip-san)"
 fi
 
-echo "==> [4/12] CLI kill-at-step-K -> resume -> bit-identical verify"
+echo "==> [4/11] CLI kill-at-step-K -> resume -> bit-identical verify"
 CLI=./build/tools/bootleg_cli
 WORK="$(mktemp -d /tmp/bootleg_check.XXXXXX)"
 trap 'rm -rf "$WORK"' EXIT
@@ -156,7 +157,7 @@ fi
 cmp "$WORK/ref.bin" "$WORK/resumed.bin" \
   || { echo "FAIL: resumed model differs from uninterrupted run"; exit 1; }
 
-echo "==> [5/12] serve smoke drill: stdin + TCP, concurrency, SIGHUP, shutdown"
+echo "==> [5/11] serve smoke drill: stdin + TCP, concurrency, SIGHUP, shutdown"
 SERVE=./build/tools/bootleg_serve
 
 # --- stdin transport: health, disambiguate, malformed line, stats. ----------
@@ -181,16 +182,24 @@ echo "$STDIN_OUT" | sed -n 5p \
   | grep -q '"errors": *2.*"p50_us"' \
   || { echo "FAIL: stdin serve: stats missing error count or latency"; exit 1; }
 
-# --- Unknown flags: a retired or misspelled flag fails loudly. -------------
-set +e
-"$SERVE" --data "$WORK/data" --model "$WORK/ref.bin" --stdin \
-  --max_wait_us 500 </dev/null >/dev/null 2>"$WORK/unknown_flag.log"
-UNKNOWN_RC=$?
-set -e
-[[ "$UNKNOWN_RC" == "2" ]] \
-  || { echo "FAIL: serve: --max_wait_us exited $UNKNOWN_RC, want 2"; exit 1; }
-grep -q 'unknown flag --max_wait_us' "$WORK/unknown_flag.log" \
-  || { echo "FAIL: serve: unknown flag not named on stderr"; exit 1; }
+# --- Bad flags: a retired or misspelled flag, or an integer flag whose -------
+# value is not a whole number, fails loudly instead of serving on defaults.
+bad_flag() {  # $1 = expected stderr text; remaining args = the bad flag
+  local want="$1"
+  shift
+  set +e
+  "$SERVE" --data "$WORK/data" --model "$WORK/ref.bin" --stdin "$@" \
+    </dev/null >/dev/null 2>"$WORK/bad_flag.log"
+  local rc=$?
+  set -e
+  [[ "$rc" == "2" ]] \
+    || { echo "FAIL: serve: $* exited $rc, want 2"; exit 1; }
+  grep -q -- "$want" "$WORK/bad_flag.log" \
+    || { echo "FAIL: serve: $* not named on stderr"; exit 1; }
+}
+bad_flag 'unknown flag --max_wait_us' --max_wait_us 500
+bad_flag 'unknown flag --backend' --backend simd
+bad_flag '--max_batch needs a whole number' --max_batch abc
 
 # --- TCP transport: concurrent clients, SIGHUP hot-reload, clean SIGTERM. ---
 "$SERVE" --data "$WORK/data" --checkpoint_dir "$WORK/ckpt_ref" --port 0 \
@@ -250,7 +259,7 @@ kill -TERM "$SERVE_PID"
 wait "$SERVE_PID" \
   || { echo "FAIL: serve: non-zero exit on SIGTERM"; exit 1; }
 
-echo "==> [6/12] observability: registry + spans in stats, train --trace_out"
+echo "==> [6/11] observability: registry + spans in stats, train --trace_out"
 ./build/tests/metrics_test >/dev/null \
   || { echo "FAIL: metrics_test failed"; exit 1; }
 
@@ -290,7 +299,7 @@ for stage in train.epoch train.forward_backward train.step nn.adam.step; do
     || { echo "FAIL: trace_out missing stage $stage"; exit 1; }
 done
 
-echo "==> [7/12] store drill: export -> verify -> serve -> SIGHUP generation swap"
+echo "==> [7/11] store drill: export -> verify -> serve -> SIGHUP generation swap"
 "$CLI" export-store --data "$WORK/data" --model "$WORK/ref.bin" \
   --out "$WORK/store/gen_000001" --quant float32 >/dev/null
 "$CLI" store --dir "$WORK/store" --verify >/dev/null \
@@ -347,53 +356,7 @@ kill -TERM "$SERVE_PID"
 wait "$SERVE_PID" \
   || { echo "FAIL: store serve: non-zero exit on SIGTERM"; exit 1; }
 
-echo "==> [8/12] backend drill: ref vs simd byte-identical, simd_q8 clean"
-BACKEND_REQS=$(printf '%s\n' \
-  "{\"op\": \"disambiguate\", \"text\": \"the $ALIAS appears here\"}" \
-  '{"op": "disambiguate", "text": "entities appear on every page"}' \
-  '{"op": "disambiguate", "text": "the first page mentions a rare entity"}')
-
-backend_serve() {  # $1 = backend spec; replies on stdout
-  echo "$BACKEND_REQS" \
-    | "$SERVE" --data "$WORK/data" --model "$WORK/ref.bin" --stdin \
-        --backend "$1" 2>/dev/null
-}
-
-REF_REPLIES=$(backend_serve ref)
-SIMD_REPLIES=$(backend_serve simd)
-[[ $(echo "$REF_REPLIES" | wc -l) == 3 ]] \
-  || { echo "FAIL: backend drill: ref backend dropped replies"; exit 1; }
-[[ "$REF_REPLIES" == "$SIMD_REPLIES" ]] \
-  || { echo "FAIL: backend drill: simd replies differ from ref"; exit 1; }
-
-# simd_q8 serves quantized weights: predictions may legitimately differ from
-# float only on near-ties, but every request must succeed, and stats must
-# report the backend block.
-Q8_OUT=$(printf '%s\n' "$BACKEND_REQS" '{"op": "stats"}' \
-  | "$SERVE" --data "$WORK/data" --model "$WORK/ref.bin" --stdin \
-      --backend simd_q8 2>/dev/null)
-[[ $(echo "$Q8_OUT" | wc -l) == 4 ]] \
-  || { echo "FAIL: backend drill: simd_q8 dropped replies"; exit 1; }
-[[ $(echo "$Q8_OUT" | sed -n 1,3p | grep -c '"ok": *true') == 3 ]] \
-  || { echo "FAIL: backend drill: simd_q8 request errored"; exit 1; }
-Q8_STATS=$(echo "$Q8_OUT" | sed -n 4p)
-echo "$Q8_STATS" | grep -q '"errors": *0' \
-  || { echo "FAIL: backend drill: simd_q8 stats report errors: $Q8_STATS"; exit 1; }
-echo "$Q8_STATS" | grep -q '"backend"' \
-  || { echo "FAIL: backend drill: stats missing backend block: $Q8_STATS"; exit 1; }
-echo "$Q8_STATS" | grep -q '"name": *"simd_q8"' \
-  || { echo "FAIL: backend drill: stats missing backend name: $Q8_STATS"; exit 1; }
-echo "$Q8_STATS" | grep -q '"quant_block": *32' \
-  || { echo "FAIL: backend drill: stats missing quant block: $Q8_STATS"; exit 1; }
-
-# An unknown backend must be rejected at startup, not served silently.
-if echo '{"op": "health"}' \
-    | "$SERVE" --data "$WORK/data" --model "$WORK/ref.bin" --stdin \
-        --backend warp 2>/dev/null >/dev/null; then
-  echo "FAIL: backend drill: unknown backend accepted"; exit 1
-fi
-
-echo "==> [9/12] overload drill: admission control, deadline shedding, hostile clients"
+echo "==> [8/11] overload drill: admission control, deadline shedding, hostile clients"
 DRILL=./build/tools/overload_drill
 
 "$SERVE" --data "$WORK/data" --model "$WORK/ref.bin" --port 0 \
@@ -447,7 +410,7 @@ kill -TERM "$SERVE_PID"
 wait "$SERVE_PID" \
   || { echo "FAIL: overload drill: non-zero exit on SIGTERM"; exit 1; }
 
-echo "==> [10/12] live-add drill: add_entity under load -> in-process swap -> compact"
+echo "==> [9/11] live-add drill: add_entity under load -> in-process swap -> compact"
 # Serve from the stage-7 store (newest generation: the int8 gen_000002). The
 # idle reaper runs with a generous timeout so it cannot touch the drill's
 # request-bearing connections — it just has to not misfire.
@@ -529,7 +492,7 @@ kill -TERM "$SERVE_PID"
 wait "$SERVE_PID" \
   || { echo "FAIL: live-add: non-zero exit on SIGTERM"; exit 1; }
 
-echo "==> [11/12] residency drill: budget-constrained serve, identical replies, bounded RSS"
+echo "==> [10/11] residency drill: budget-constrained serve, identical replies, bounded RSS"
 RES_STORE="$WORK/res_store"
 "$CLI" export-store --data "$WORK/data" --model "$WORK/ref.bin" \
   --out "$RES_STORE/gen_000001" --quant float32 >/dev/null
@@ -624,7 +587,7 @@ kill -TERM "$SERVE_PID"
 wait "$SERVE_PID" \
   || { echo "FAIL: residency: budgeted non-zero exit on SIGTERM"; exit 1; }
 
-echo "==> [12/12] robustness drill: raw-text serving, hostile inputs, deterministic noisy eval"
+echo "==> [11/11] robustness drill: raw-text serving, hostile inputs, deterministic noisy eval"
 
 # --- Raw-text serving: one stdin session answers the pre-segmented op, the
 # raw-text op on the same sentence, and a two-sentence document twice.

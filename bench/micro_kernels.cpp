@@ -119,8 +119,8 @@ void BM_KgAdjacencySoftmax(benchmark::State& state) {
 }
 BENCHMARK(BM_KgAdjacencySoftmax)->Arg(8)->Arg(32);
 
-// One full training epoch over a micro-scale corpus, serial vs data-parallel
-// (arg = worker count; 1 takes the exact legacy serial loop). The EXPERIMENTS
+// One full training epoch over a micro-scale corpus at 1, 2 and 4 workers
+// (arg = worker count; every count runs the same loop). The EXPERIMENTS
 // speedup table reads these numbers.
 void BM_TrainEpoch(benchmark::State& state) {
   const int threads = static_cast<int>(state.range(0));

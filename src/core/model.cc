@@ -492,7 +492,6 @@ void BootlegModel::PrepareFrozenInference() {
     post += title_dim_;
   }
   frozen_pre_cols_ = pre;
-  frozen_view_.reset();  // back to the heap path
   const int64_t n = kb_->num_entities();
   const int64_t cols = pre + post;
   frozen_static_ = Tensor({n, cols});
@@ -535,6 +534,11 @@ void BootlegModel::PrepareFrozenInference() {
       for (int64_t j = 0; j < title_dim_; ++j) dst[j] = title.at(0, j);
     }
   }
+  // PredictBatch gathers through a view either way; this one borrows the
+  // table's buffer and is replaced whenever the table is.
+  frozen_view_ =
+      std::make_shared<store::HeapView>(frozen_static_.data(), n, cols);
+  frozen_from_store_ = false;
   frozen_ready_ = true;
 }
 
@@ -561,12 +565,13 @@ util::Status BootlegModel::UseFrozenStore(
   frozen_pre_cols_ = pre;
   frozen_static_ = Tensor();  // the view replaces the heap table
   frozen_view_ = std::move(view);
+  frozen_from_store_ = true;
   frozen_ready_ = true;
   return util::Status::OK();
 }
 
 void BootlegModel::ReleaseEntityTableForServing() {
-  BOOTLEG_CHECK_MSG(frozen_view_ != nullptr,
+  BOOTLEG_CHECK_MSG(frozen_from_store_,
                     "ReleaseEntityTableForServing requires UseFrozenStore");
   if (entity_emb_ != nullptr) entity_emb_->ReleaseTable();
 }
@@ -686,80 +691,60 @@ std::vector<std::vector<int64_t>> BootlegModel::PredictBatch(
   {
     OBS_SPAN("infer.features");
     Tensor x({total_rows, input_dim_});
-    const int64_t static_cols = frozen_view_ != nullptr
-                                    ? frozen_view_->cols()
-                                    : frozen_static_.size(1);
+    const store::StoreView& view = *frozen_view_;
+    const int64_t static_cols = view.cols();
     const int64_t post_cols = static_cols - frozen_pre_cols_;
     const int64_t coarse = use_tpred ? config_.coarse_dim : 0;
-    if (frozen_view_ == nullptr) {
-      for (int64_t r = 0; r < total_rows; ++r) {
-        const float* src = frozen_static_.data() +
-                           s.row_entities[static_cast<size_t>(r)] * static_cols;
-        float* dst = x.data() + r * input_dim_;
-        for (int64_t j = 0; j < frozen_pre_cols_; ++j) dst[j] = src[j];
-        if (use_tpred) {
-          const float* tp = tpred_all.data() + r * coarse;
-          for (int64_t j = 0; j < coarse; ++j) dst[frozen_pre_cols_ + j] = tp[j];
-        }
-        for (int64_t j = 0; j < post_cols; ++j) {
-          dst[frozen_pre_cols_ + coarse + j] = src[frozen_pre_cols_ + j];
-        }
-      }
+    // One gather for every deployment (the heap table is a HeapView). Float
+    // views serve zero-copy row pointers (with a small prefetch lookahead so
+    // the copy loop is not bound by per-row miss latency); non-float stores
+    // run one batched fused gather+dequant over the whole id list, then the
+    // assembly reads the dequantized rows from scratch.
+    static obs::LatencyHistogram* gather_hist =
+        obs::MetricsRegistry::Global().GetHistogram("store.gather_us");
+    const auto gather_start = std::chrono::steady_clock::now();
+    constexpr int64_t kGatherLookahead = 8;
+    // Batch-ahead residency advisory: mapped views under a resident-set
+    // budget see the whole id list up front, so evicted shards this batch
+    // touches are WILLNEEDed before the row loop reaches them. (GatherRows
+    // repeats the hint internally for direct callers; no-op elsewhere.)
+    // total_rows > 0 here: every kept sentence has a candidate row.
+    view.WillGather(s.row_entities.data(), total_rows);
+    const bool zero_copy = view.RowPtr(s.row_entities[0]) != nullptr;
+    const float* gathered = nullptr;
+    if (!zero_copy) {
+      s.row_buf.resize(static_cast<size_t>(total_rows * static_cols));
+      view.GatherRows(s.row_entities.data(), total_rows, s.row_buf.data());
+      gathered = s.row_buf.data();
     } else {
-      // Same assembly gathered through the store view. Float stores serve
-      // zero-copy row pointers (with a small prefetch lookahead so the copy
-      // loop is not bound by per-row miss latency); non-float stores run one
-      // batched fused gather+dequant over the whole id list, then the
-      // assembly reads the dequantized rows from scratch.
-      static obs::LatencyHistogram* gather_hist =
-          obs::MetricsRegistry::Global().GetHistogram("store.gather_us");
-      const auto gather_start = std::chrono::steady_clock::now();
-      constexpr int64_t kGatherLookahead = 8;
-      // Batch-ahead residency advisory: mapped views under a resident-set
-      // budget see the whole id list up front, so evicted shards this batch
-      // touches are WILLNEEDed before the row loop reaches them. (GatherRows
-      // repeats the hint internally for direct callers; no-op elsewhere.)
-      if (total_rows > 0) {
-        frozen_view_->WillGather(s.row_entities.data(), total_rows);
+      for (int64_t r = 0; r < std::min(kGatherLookahead, total_rows); ++r) {
+        view.PrefetchRow(s.row_entities[static_cast<size_t>(r)]);
       }
-      const bool zero_copy =
-          total_rows > 0 && frozen_view_->RowPtr(s.row_entities[0]) != nullptr;
-      const float* gathered = nullptr;
-      if (!zero_copy && total_rows > 0) {
-        s.row_buf.resize(static_cast<size_t>(total_rows * static_cols));
-        frozen_view_->GatherRows(s.row_entities.data(), total_rows,
-                                 s.row_buf.data());
-        gathered = s.row_buf.data();
-      } else {
-        for (int64_t r = 0; r < std::min(kGatherLookahead, total_rows); ++r) {
-          frozen_view_->PrefetchRow(s.row_entities[static_cast<size_t>(r)]);
-        }
-      }
-      for (int64_t r = 0; r < total_rows; ++r) {
-        const float* src;
-        if (zero_copy) {
-          if (r + kGatherLookahead < total_rows) {
-            frozen_view_->PrefetchRow(
-                s.row_entities[static_cast<size_t>(r + kGatherLookahead)]);
-          }
-          src = frozen_view_->RowPtr(s.row_entities[static_cast<size_t>(r)]);
-        } else {
-          src = gathered + r * static_cols;
-        }
-        float* dst = x.data() + r * input_dim_;
-        for (int64_t j = 0; j < frozen_pre_cols_; ++j) dst[j] = src[j];
-        if (use_tpred) {
-          const float* tp = tpred_all.data() + r * coarse;
-          for (int64_t j = 0; j < coarse; ++j) dst[frozen_pre_cols_ + j] = tp[j];
-        }
-        for (int64_t j = 0; j < post_cols; ++j) {
-          dst[frozen_pre_cols_ + coarse + j] = src[frozen_pre_cols_ + j];
-        }
-      }
-      gather_hist->Record(std::chrono::duration_cast<std::chrono::microseconds>(
-                              std::chrono::steady_clock::now() - gather_start)
-                              .count());
     }
+    for (int64_t r = 0; r < total_rows; ++r) {
+      const float* src;
+      if (zero_copy) {
+        if (r + kGatherLookahead < total_rows) {
+          view.PrefetchRow(
+              s.row_entities[static_cast<size_t>(r + kGatherLookahead)]);
+        }
+        src = view.RowPtr(s.row_entities[static_cast<size_t>(r)]);
+      } else {
+        src = gathered + r * static_cols;
+      }
+      float* dst = x.data() + r * input_dim_;
+      for (int64_t j = 0; j < frozen_pre_cols_; ++j) dst[j] = src[j];
+      if (use_tpred) {
+        const float* tp = tpred_all.data() + r * coarse;
+        for (int64_t j = 0; j < coarse; ++j) dst[frozen_pre_cols_ + j] = tp[j];
+      }
+      for (int64_t j = 0; j < post_cols; ++j) {
+        dst[frozen_pre_cols_ + coarse + j] = src[frozen_pre_cols_ + j];
+      }
+    }
+    gather_hist->Record(std::chrono::duration_cast<std::chrono::microseconds>(
+                            std::chrono::steady_clock::now() - gather_start)
+                            .count());
     e_all = input_mlp_->ForwardValue(x);
 
     if (config_.use_position_encoding) {

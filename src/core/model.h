@@ -107,10 +107,11 @@ class BootlegModel : public eval::NedScorer {
   /// exactly FrozenStaticCols() columns — the layout PrepareFrozenInference
   /// writes and `bootleg_cli export-store` persists. Replaces any previous
   /// frozen state (heap table or earlier view); PredictBatch then gathers
-  /// through the view. A later PrepareFrozenInference() call drops the view
-  /// and returns to the heap path.
+  /// through this view instead of the HeapView over the heap table. A later
+  /// PrepareFrozenInference() call rebuilds the heap table and its view.
   util::Status UseFrozenStore(std::shared_ptr<const store::StoreView> view);
-  bool frozen_from_store() const { return frozen_view_ != nullptr; }
+  /// True only while serving from an external view (UseFrozenStore).
+  bool frozen_from_store() const { return frozen_from_store_; }
 
   /// Frozen static-feature column count for the current config: the store
   /// schema PredictBatch expects ([entity | type_pool | rel_pool | title]).
@@ -262,9 +263,11 @@ class BootlegModel : public eval::NedScorer {
   tensor::Tensor frozen_static_;
   int64_t frozen_pre_cols_ = 0;
   bool frozen_ready_ = false;
-  // When set, PredictBatch gathers frozen rows through this view (mmap
-  // store) instead of frozen_static_; see UseFrozenStore().
+  // PredictBatch gathers frozen rows through this view: a HeapView over
+  // frozen_static_ (PrepareFrozenInference) or an external store view
+  // (UseFrozenStore, which sets frozen_from_store_).
   std::shared_ptr<const store::StoreView> frozen_view_;
+  bool frozen_from_store_ = false;
 };
 
 }  // namespace bootleg::core

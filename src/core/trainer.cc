@@ -12,77 +12,6 @@ namespace bootleg::core {
 
 namespace {
 
-// Serial loop, unchanged from before the parallel execution layer: this is
-// the bit-exact reference trajectory that equivalence tests pin against.
-TrainStats TrainSerial(TrainableModel* model,
-                       const std::vector<data::SentenceExample>& train_examples,
-                       const TrainOptions& options) {
-  util::Rng rng(options.seed);
-  nn::Adam::Options adam_options;
-  adam_options.lr = options.lr;
-  nn::Adam optimizer(&model->store(), adam_options);
-
-  std::vector<size_t> order(train_examples.size());
-  for (size_t i = 0; i < order.size(); ++i) order[i] = i;
-
-  util::Timer timer;
-  TrainStats stats;
-  stats.threads = 1;
-  double window_loss = 0.0;
-  int64_t window_count = 0;
-
-  bool done = false;
-  for (int64_t epoch = 0; epoch < options.epochs; ++epoch) {
-    OBS_SPAN("train.epoch");
-    rng.Shuffle(&order);
-    int64_t in_batch = 0;
-    for (size_t idx : order) {
-      tensor::Var loss;
-      {
-        OBS_SPAN("train.forward_backward");
-        loss = model->Loss(train_examples[idx], /*train=*/true);
-        if (loss.defined()) tensor::Backward(loss);
-      }
-      ++stats.sentences_seen;
-      if (loss.defined()) {
-        window_loss += loss.value().at(0);
-        ++window_count;
-        ++in_batch;
-      }
-      if (in_batch >= options.batch_size) {
-        {
-          OBS_SPAN("train.step");
-          optimizer.Step();
-        }
-        ++stats.steps;
-        in_batch = 0;
-        if (options.max_steps > 0 && stats.steps >= options.max_steps) {
-          done = true;
-          break;
-        }
-      }
-      if (options.verbose && stats.sentences_seen % options.log_every == 0 &&
-          window_count > 0) {
-        BOOTLEG_LOG(Info) << "epoch " << epoch << " sentences "
-                          << stats.sentences_seen << " avg loss "
-                          << window_loss / window_count;
-        window_loss = 0.0;
-        window_count = 0;
-      }
-    }
-    if (done) break;
-    if (in_batch > 0) {
-      OBS_SPAN("train.step");
-      optimizer.Step();
-      ++stats.steps;
-      if (options.max_steps > 0 && stats.steps >= options.max_steps) break;
-    }
-  }
-  stats.final_avg_loss = window_count > 0 ? window_loss / window_count : 0.0;
-  stats.seconds = timer.ElapsedSeconds();
-  return stats;
-}
-
 // Validates a recovered TrainerState against this run's configuration before
 // trusting it. Checkpoint checksums already guarantee the bytes are intact;
 // this guards against resuming with a different corpus, thread count, or
@@ -124,23 +53,51 @@ util::Status ValidateRecoveredState(const TrainerState& s, size_t num_examples,
   return util::Status::OK();
 }
 
-// Stateful loop: each minibatch of `batch_size` sentences is sharded
-// contiguously across `nthreads` workers. Workers run Loss+Backward with a
-// private RNG (forked once, up front, from the master generator) and a
-// private GradScope; scopes are reduced in worker order before the step, so
-// the trajectory is deterministic for a fixed thread count. Epoch order and
-// shard boundaries match the serial loop; only the RNG streams driving
-// dropout differ, since workers draw independently.
+// Worker count before the per-worker RNG guard: `num_threads`, else
+// BOOTLEG_THREADS, else 1.
+int RequestedWorkers(const TrainOptions& options) {
+  if (options.num_threads > 0) return options.num_threads;
+  const int env = util::ThreadPool::EnvThreads();
+  return env > 0 ? env : 1;
+}
+
+}  // namespace
+
+int TrainWorkers(const TrainableModel& model, const TrainOptions& options) {
+  return model.SupportsParallelLoss() ? RequestedWorkers(options) : 1;
+}
+
+// One loop at every worker count. Each epoch's shuffled order is cut into
+// groups of `batch_size` sentences, and each group is sharded contiguously
+// across `nthreads` workers. Workers run Loss+Backward with a private RNG
+// (forked once, up front, from the master generator) and a private
+// GradScope; scopes are reduced in worker order, and the optimizer steps
+// once `batch_size` defined losses have accumulated, checked after each
+// group. The trajectory is therefore deterministic for a fixed worker count.
 //
 // All loop state lives in explicitly serializable form (counters, the master
 // and worker RNG streams, the epoch's shuffle permutation), which is what
 // makes mid-run checkpointing possible: a snapshot taken right after an
 // optimizer step captures everything, so a resumed run replays the exact
-// remaining trajectory. The master RNG is saved post-shuffle/post-fork, so a
-// resumed epoch must not re-shuffle and workers restore rather than re-fork.
-TrainStats TrainStateful(TrainableModel* model,
-                         const std::vector<data::SentenceExample>& train_examples,
-                         const TrainOptions& options, int nthreads) {
+// remaining trajectory, and writing checkpoints never changes what is
+// trained. The master RNG is saved post-shuffle/post-fork, so a resumed
+// epoch must not re-shuffle and workers restore rather than re-fork.
+TrainStats Train(TrainableModel* model,
+                 const std::vector<data::SentenceExample>& train_examples,
+                 const TrainOptions& options) {
+  const int nthreads = TrainWorkers(*model, options);
+  bool checkpointing =
+      !options.checkpoint_dir.empty() && options.checkpoint_every_steps > 0;
+  bool resuming = !options.checkpoint_dir.empty() && options.resume;
+  if (!model->SupportsParallelLoss() &&
+      (RequestedWorkers(options) > 1 || checkpointing || resuming)) {
+    BOOTLEG_LOG(Warning)
+        << "model does not support per-worker RNGs; training serially"
+        << (checkpointing || resuming ? " without checkpointing" : "");
+    checkpointing = false;
+    resuming = false;
+  }
+
   util::Rng rng(options.seed);
   nn::Adam::Options adam_options;
   adam_options.lr = options.lr;
@@ -162,13 +119,11 @@ TrainStats TrainStateful(TrainableModel* model,
   int64_t window_count = 0;
   int64_t in_batch = 0;
 
-  const bool checkpointing =
-      !options.checkpoint_dir.empty() && options.checkpoint_every_steps > 0;
   int64_t start_epoch = 0;
   int64_t start_cursor = 0;
   bool restored = false;
 
-  if (checkpointing && options.resume) {
+  if (resuming) {
     TrainerState ts;
     RecoveryResult rec = RecoverLatestCheckpoint(
         options.checkpoint_dir, &ts, &model->store(), &optimizer,
@@ -281,8 +236,6 @@ TrainStats TrainStateful(TrainableModel* model,
         window_count += worker_defined[static_cast<size_t>(w)];
         in_batch += worker_defined[static_cast<size_t>(w)];
       }
-      // Same step rule as the serial loop — step once `batch_size` defined
-      // losses have accumulated — evaluated at group granularity.
       if (in_batch >= options.batch_size) {
         {
           OBS_SPAN("train.step");
@@ -333,34 +286,6 @@ TrainStats TrainStateful(TrainableModel* model,
   stats.final_avg_loss = window_count > 0 ? window_loss / window_count : 0.0;
   stats.seconds = timer.ElapsedSeconds();
   return stats;
-}
-
-}  // namespace
-
-TrainStats Train(TrainableModel* model,
-                 const std::vector<data::SentenceExample>& train_examples,
-                 const TrainOptions& options) {
-  int nthreads = options.num_threads;
-  if (nthreads <= 0) {
-    const int env = util::ThreadPool::EnvThreads();
-    nthreads = env > 0 ? env : 1;
-  }
-  bool checkpointing =
-      !options.checkpoint_dir.empty() && options.checkpoint_every_steps > 0;
-  if ((nthreads > 1 || checkpointing) && !model->SupportsParallelLoss()) {
-    BOOTLEG_LOG(Warning)
-        << "model does not support per-worker RNGs; training serially"
-        << (checkpointing ? " without checkpointing" : "");
-    nthreads = 1;
-    checkpointing = false;
-  }
-  // Checkpointing requires the stateful loop even at one thread: only its
-  // RNG streams are externally owned and thus serializable. The plain serial
-  // loop stays the untouched bit-exact reference trajectory.
-  if (nthreads <= 1 && !checkpointing) {
-    return TrainSerial(model, train_examples, options);
-  }
-  return TrainStateful(model, train_examples, options, nthreads);
 }
 
 }  // namespace bootleg::core

@@ -28,16 +28,17 @@ class TrainableModel {
     return Loss(example, train, nullptr);
   }
   /// True when Loss honors the rng argument, making concurrent Loss calls
-  /// from the data-parallel trainer safe. Models that ignore it fall back to
-  /// serial training.
+  /// from the data-parallel trainer safe. Models that ignore it train with
+  /// one worker and without checkpointing.
   virtual bool SupportsParallelLoss() const { return false; }
   virtual nn::ParameterStore& store() = 0;
 };
 
 /// Adapter wrapping any model with a Loss member function. Models exposing
 /// Loss(example, train, rng) get the per-worker RNG threaded through (and are
-/// eligible for data-parallel training); models with Loss(example, train)
-/// keep their internal generator and train serially.
+/// eligible for data-parallel training and checkpointing); models with
+/// Loss(example, train) keep their internal generator and train with one
+/// worker.
 template <typename M>
 class Trainable : public TrainableModel {
  public:
@@ -71,11 +72,12 @@ struct TrainOptions {
   bool verbose = false;
   int64_t log_every = 1000;  // sentences
   /// Data-parallel workers per optimizer step. 0 reads BOOTLEG_THREADS (and
-  /// falls back to 1); 1 runs the exact serial loop, bit-identical to the
-  /// pre-parallel trainer. Workers shard each minibatch, accumulate into
-  /// per-worker gradient scopes, and the scopes are reduced in worker order
-  /// before the Adam step, so a run is deterministic for a fixed thread
-  /// count.
+  /// falls back to 1). Every count runs the same loop: workers shard each
+  /// group of `batch_size` sentences, draw dropout from their own RNG
+  /// forked from `seed`, accumulate into per-worker gradient scopes, and the
+  /// scopes are reduced in worker order; the Adam step comes once
+  /// `batch_size` defined losses have accumulated, checked after each group.
+  /// A run is deterministic for a fixed worker count.
   int num_threads = 0;
   /// Stop after this many optimizer steps (0 = no limit). Used by tests and
   /// the CLI's fault-injection flow to simulate a mid-run kill.
@@ -87,17 +89,16 @@ struct TrainOptions {
   /// epoch/batch cursor, and the epoch's shuffle permutation — into
   /// `checkpoint_dir`/ckpt_<step>.bin every K optimizer steps, atomically
   /// (temp file + fsync + rename) and checksummed, retaining the newest
-  /// `checkpoint_retain` files plus a MANIFEST. Checkpointing routes
-  /// training through the stateful loop even at one thread; its trajectory
-  /// differs from the plain serial loop only in dropout draws (per-worker
-  /// forked RNGs instead of the model's internal generator) and is
-  /// deterministic for a fixed thread count. Requires a model supporting
-  /// per-worker RNGs; otherwise checkpointing is disabled with a warning.
+  /// `checkpoint_retain` files plus a MANIFEST. Writing checkpoints does not
+  /// change the trajectory: the model is byte-identical to a run without
+  /// them. Requires a model supporting per-worker RNGs; otherwise
+  /// checkpointing and resume are disabled with a warning.
   std::string checkpoint_dir;
   int64_t checkpoint_every_steps = 0;
   int64_t checkpoint_retain = 3;
-  /// Scan `checkpoint_dir` before training and resume from the newest valid
-  /// checkpoint, skipping corrupt or partial files. A resumed run finishes
+  /// Scan `checkpoint_dir` (when non-empty) before training and resume from
+  /// the newest valid checkpoint, skipping corrupt or partial files, whether
+  /// or not this run writes checkpoints. A resumed run finishes
   /// bit-identical to the uninterrupted run at the same thread count.
   bool resume = false;
 };
@@ -112,13 +113,17 @@ struct TrainStats {
 };
 
 /// Runs the shared training loop: shuffle each epoch, accumulate gradients
-/// over `batch_size` sentences, Adam step. With num_threads > 1 (and a model
-/// that supports it) each minibatch is sharded across pool workers; with
-/// checkpointing enabled the loop additionally snapshots and can resume full
-/// training state (see TrainOptions::checkpoint_dir).
+/// over `batch_size` sentences, Adam step. Each group of sentences is
+/// sharded across TrainWorkers() pool workers; with checkpointing enabled
+/// the loop additionally snapshots and can resume full training state (see
+/// TrainOptions::checkpoint_dir).
 TrainStats Train(TrainableModel* model,
                  const std::vector<data::SentenceExample>& train_examples,
                  const TrainOptions& options);
+
+/// The worker count Train runs `model` with: `num_threads`, else
+/// BOOTLEG_THREADS, else 1 — and always 1 when !SupportsParallelLoss().
+int TrainWorkers(const TrainableModel& model, const TrainOptions& options);
 
 }  // namespace bootleg::core
 

@@ -74,22 +74,29 @@ std::string CacheDir() {
 
 namespace {
 
-/// Cache file name: spec name + environment fingerprint + training recipe,
-/// so a changed schedule or scale never silently reuses a stale checkpoint.
+/// Cache file name: spec name + environment fingerprint + everything that
+/// changes the trained weights (schedule, worker count, batch size, both
+/// seeds), so a changed recipe never silently reuses a stale checkpoint.
 std::string CachePath(const Environment& env, const std::string& name,
-                      const core::TrainOptions& train) {
+                      const core::TrainableModel& model,
+                      const core::TrainOptions& train, uint64_t model_seed) {
   const std::string dir = CacheDir();
   if (dir.empty()) return "";
   std::error_code ec;
   std::filesystem::create_directories(dir, ec);
   if (ec) return "";
   return util::StrFormat(
-      "%s/%s_s%llu_p%lld_e%lld_wl%lld_ep%lld_lr%g.ckpt", dir.c_str(),
-      name.c_str(), static_cast<unsigned long long>(env.synth_config.seed),
+      "%s/%s_s%llu_p%lld_e%lld_wl%lld_ep%lld_lr%g_w%d_b%lld_ts%llu_ms%llu.ckpt",
+      dir.c_str(), name.c_str(),
+      static_cast<unsigned long long>(env.synth_config.seed),
       static_cast<long long>(env.synth_config.num_pages),
       static_cast<long long>(env.synth_config.num_entities),
       static_cast<long long>(env.wl_stats.total_labels_after),
-      static_cast<long long>(train.epochs), static_cast<double>(train.lr));
+      static_cast<long long>(train.epochs), static_cast<double>(train.lr),
+      core::TrainWorkers(model, train),
+      static_cast<long long>(train.batch_size),
+      static_cast<unsigned long long>(train.seed),
+      static_cast<unsigned long long>(model_seed));
 }
 
 }  // namespace
@@ -103,13 +110,14 @@ std::unique_ptr<core::BootlegModel> TrainBootleg(Environment* env,
   if (spec.config.use_title_feature) {
     model->SetTitleTokenIds(env->TitleTokenIds());
   }
-  const std::string cache = CachePath(*env, spec.name, spec.train);
+  core::Trainable<core::BootlegModel> trainable(model.get());
+  const std::string cache =
+      CachePath(*env, spec.name, trainable, spec.train, spec.model_seed);
   if (!cache.empty() && std::filesystem::exists(cache) &&
       core::LoadSnapshotOrInvalidate(cache, &model->store()).ok()) {
     BOOTLEG_LOG(Info) << "loaded cached model " << cache;
     return model;
   }
-  core::Trainable<core::BootlegModel> trainable(model.get());
   const core::TrainStats stats =
       core::Train(&trainable, env->train_examples, spec.train);
   BOOTLEG_LOG(Info) << "trained " << spec.name << ": "
@@ -129,13 +137,14 @@ std::unique_ptr<baseline::NedBaseModel> TrainNedBase(
   config.encoder.max_len = 32;
   auto model = std::make_unique<baseline::NedBaseModel>(
       env->world.kb.num_entities(), env->world.vocab.size(), config, model_seed);
-  const std::string cache = CachePath(*env, name, train_options);
+  core::Trainable<baseline::NedBaseModel> trainable(model.get());
+  const std::string cache =
+      CachePath(*env, name, trainable, train_options, model_seed);
   if (!cache.empty() && std::filesystem::exists(cache) &&
       core::LoadSnapshotOrInvalidate(cache, &model->store()).ok()) {
     BOOTLEG_LOG(Info) << "loaded cached model " << cache;
     return model;
   }
-  core::Trainable<baseline::NedBaseModel> trainable(model.get());
   const core::TrainStats stats =
       core::Train(&trainable, env->train_examples, train_options);
   BOOTLEG_LOG(Info) << "trained " << name << ": " << stats.sentences_seen

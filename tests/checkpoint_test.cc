@@ -1,8 +1,9 @@
 // Crash-safe checkpointing: mid-run snapshot + resume must be bit-identical
-// to the uninterrupted run at the same thread count, recovery must skip torn
-// and corrupt checkpoint files, retain-K pruning must keep the newest
-// snapshots, and the fault-injection layer must leave exactly the artifacts a
-// real crash would.
+// to the uninterrupted run at the same thread count (whether or not the
+// resumed run writes checkpoints itself), recovery must skip torn and
+// corrupt checkpoint files, retain-K pruning must keep the newest snapshots,
+// and the fault-injection layer must leave exactly the artifacts a real
+// crash would.
 
 #include <cstdint>
 #include <filesystem>
@@ -461,6 +462,34 @@ TEST_F(CheckpointTrainTest, ResumeAcrossEpochBoundaryIsBitIdentical) {
   ASSERT_GT(full.steps, 3);
   RunResumeEquivalence(/*threads=*/1, /*kill_at_step=*/full.steps - 1,
                        /*corrupt_newest=*/false);
+}
+
+TEST_F(CheckpointTrainTest, ResumeWithoutCheckpointEveryStillResumes) {
+  // --resume must not depend on the resumed run writing checkpoints itself.
+  const std::string dir = TestDir("resume_only");
+  auto reference = MakeModel();
+  core::Trainable<core::BootlegModel> ref_t(reference.get());
+  core::TrainOptions plain = CheckpointedOptions("", 1);
+  plain.checkpoint_every_steps = 0;
+  const core::TrainStats ref_stats = core::Train(&ref_t, examples_, plain);
+
+  auto killed = MakeModel();
+  core::Trainable<core::BootlegModel> killed_t(killed.get());
+  core::TrainOptions kill_options = CheckpointedOptions(dir, 1);
+  kill_options.max_steps = 3;
+  core::Train(&killed_t, examples_, kill_options);
+  ASSERT_FALSE(core::ListCheckpoints(dir).empty());
+
+  auto resumed = MakeModel();
+  core::Trainable<core::BootlegModel> resumed_t(resumed.get());
+  core::TrainOptions resume_options = CheckpointedOptions(dir, 1);
+  resume_options.checkpoint_every_steps = 0;
+  resume_options.resume = true;
+  const core::TrainStats stats =
+      core::Train(&resumed_t, examples_, resume_options);
+  EXPECT_GE(stats.resumed_from_step, 0);
+  EXPECT_EQ(stats.steps, ref_stats.steps);
+  EXPECT_EQ(StoreDigest(resumed->store()), StoreDigest(reference->store()));
 }
 
 TEST_F(CheckpointTrainTest, ResumeWithEmptyDirStartsFresh) {

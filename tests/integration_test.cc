@@ -48,15 +48,10 @@ TEST(EnvironmentTest, DeterministicAcrossBuilds) {
   EXPECT_EQ(a.corpus.dev.front().tokens, b.corpus.dev.front().tokens);
 }
 
-TEST(CacheTest, SecondTrainLoadsFromCache) {
-  const std::string cache_dir =
-      (std::filesystem::temp_directory_path() / "bootleg_cache_test").string();
-  std::filesystem::remove_all(cache_dir);
-  ASSERT_EQ(setenv("BOOTLEG_CACHE_DIR", cache_dir.c_str(), 1), 0);
-
-  Environment env = BuildEnvironment(TinyConfig());
+// A small one-epoch spec, cheap enough to train several times per test.
+BootlegSpec SmallSpec(const std::string& name) {
   BootlegSpec spec;
-  spec.name = "cache_test_model";
+  spec.name = name;
   spec.config = DefaultBootlegConfig();
   spec.config.hidden = 32;
   spec.config.entity_dim = 32;
@@ -67,6 +62,17 @@ TEST(CacheTest, SecondTrainLoadsFromCache) {
   spec.config.encoder.hidden = 32;
   spec.config.encoder.ff_inner = 64;
   spec.train.epochs = 1;
+  return spec;
+}
+
+TEST(CacheTest, SecondTrainLoadsFromCache) {
+  const std::string cache_dir =
+      (std::filesystem::temp_directory_path() / "bootleg_cache_test").string();
+  std::filesystem::remove_all(cache_dir);
+  ASSERT_EQ(setenv("BOOTLEG_CACHE_DIR", cache_dir.c_str(), 1), 0);
+
+  Environment env = BuildEnvironment(TinyConfig());
+  const BootlegSpec spec = SmallSpec("cache_test_model");
 
   auto first = TrainBootleg(&env, spec);
   auto second = TrainBootleg(&env, spec);  // must load, not retrain
@@ -74,6 +80,31 @@ TEST(CacheTest, SecondTrainLoadsFromCache) {
   const data::SentenceExample ex =
       env.builder->Build(env.corpus.dev.front(), options);
   EXPECT_EQ(first->Predict(ex), second->Predict(ex));
+
+  unsetenv("BOOTLEG_CACHE_DIR");
+  std::filesystem::remove_all(cache_dir);
+}
+
+TEST(CacheTest, WorkerCountIsPartOfTheKey) {
+  // Training at 1 and at 2 workers yields different weights, so the second
+  // run must train and cache its own file instead of loading the first's.
+  const std::string cache_dir =
+      (std::filesystem::temp_directory_path() / "bootleg_cache_workers_test")
+          .string();
+  std::filesystem::remove_all(cache_dir);
+  ASSERT_EQ(setenv("BOOTLEG_CACHE_DIR", cache_dir.c_str(), 1), 0);
+
+  Environment env = BuildEnvironment(TinyConfig());
+  BootlegSpec spec = SmallSpec("cache_workers_model");
+  spec.train.num_threads = 1;
+  TrainBootleg(&env, spec);
+  spec.train.num_threads = 2;
+  TrainBootleg(&env, spec);
+  int files = 0;
+  for (const auto& entry : std::filesystem::directory_iterator(cache_dir)) {
+    if (entry.is_regular_file()) ++files;
+  }
+  EXPECT_EQ(files, 2);
 
   unsetenv("BOOTLEG_CACHE_DIR");
   std::filesystem::remove_all(cache_dir);

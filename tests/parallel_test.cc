@@ -1,16 +1,20 @@
 // Serial-vs-parallel equivalence for the execution layer: thread-pool
 // primitives, blocked kernels against their reference implementations and
-// across thread counts, gradient-scope reduction, data-parallel training, and
-// parallel evaluation.
+// across thread counts, gradient-scope reduction, data-parallel training
+// (deterministic per worker count, unchanged by checkpointing), and parallel
+// evaluation.
 
 #include <atomic>
 #include <cstdlib>
 #include <cstring>
+#include <filesystem>
 #include <memory>
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "core/checkpoint.h"
 #include "core/model.h"
 #include "core/trainer.h"
 #include "data/generator.h"
@@ -271,7 +275,7 @@ TEST(GradScopeTest, WorkerOrderReductionIsDeterministic) {
 class ParallelTrainTest : public ::testing::Test {
  protected:
   ParallelTrainTest() {
-    ::unsetenv("BOOTLEG_THREADS");  // defaults under test must mean serial
+    ::unsetenv("BOOTLEG_THREADS");  // defaults under test must mean 1 worker
     data::SynthConfig config = data::SynthConfig::MicroScale();
     config.num_entities = 200;
     config.num_pages = 50;
@@ -349,7 +353,7 @@ TEST_F(ParallelTrainTest, SingleThreadMatchesDefaultSerialBitExactly) {
   const core::TrainStats serial_stats = core::Train(&serial_t, examples_, options);
   EXPECT_EQ(serial_stats.threads, 1);
 
-  options.num_threads = 1;  // explicit 1 must take the identical serial path
+  options.num_threads = 1;  // explicit 1 must train exactly the default
   auto one = MakeModel();
   core::Trainable<core::BootlegModel> one_t(one.get());
   const core::TrainStats one_stats = core::Train(&one_t, examples_, options);
@@ -374,6 +378,41 @@ TEST_F(ParallelTrainTest, ParallelTrainingIsDeterministicForFixedThreadCount) {
   core::Trainable<core::BootlegModel> second_t(second.get());
   core::Train(&second_t, examples_, options);
   EXPECT_EQ(StoreDigest(first->store()), StoreDigest(second->store()));
+}
+
+TEST_F(ParallelTrainTest, CheckpointingDoesNotChangeTheTrajectory) {
+  // One loop at every worker count: snapshots are taken between steps and
+  // never touch the RNG streams, so a checkpointed run trains exactly the
+  // model a plain run does.
+  for (int threads : {1, 3}) {
+    ThreadPool::ResetGlobal(threads);
+    core::TrainOptions options;
+    options.epochs = 2;
+    options.num_threads = threads;
+
+    auto plain = MakeModel();
+    core::Trainable<core::BootlegModel> plain_t(plain.get());
+    const core::TrainStats plain_stats =
+        core::Train(&plain_t, examples_, options);
+
+    const std::string dir =
+        (std::filesystem::temp_directory_path() /
+         ("bootleg_parallel_test_ckpt_" + std::to_string(threads)))
+            .string();
+    std::filesystem::remove_all(dir);
+    options.checkpoint_dir = dir;
+    options.checkpoint_every_steps = 2;
+    auto checkpointed = MakeModel();
+    core::Trainable<core::BootlegModel> checkpointed_t(checkpointed.get());
+    const core::TrainStats stats =
+        core::Train(&checkpointed_t, examples_, options);
+
+    EXPECT_FALSE(core::ListCheckpoints(dir).empty());
+    EXPECT_EQ(stats.steps, plain_stats.steps);
+    EXPECT_EQ(StoreDigest(checkpointed->store()), StoreDigest(plain->store()))
+        << "checkpointing changed the trajectory at " << threads << " workers";
+    std::filesystem::remove_all(dir);
+  }
 }
 
 TEST_F(ParallelTrainTest, ParallelTrainingReducesLoss) {

@@ -21,13 +21,16 @@
 //
 // `gen` writes a self-contained dataset directory (kb.bin, candidates.bin,
 // vocab.bin, corpus.bin); `train`/`eval`/`predict` work purely from those
-// files — no regeneration needed.
+// files — no regeneration needed. A flag the subcommand does not know, an
+// integer flag that is not a whole number, an unknown --ablation, and
+// `train --resume` or `--checkpoint_every` without --checkpoint_dir all exit
+// 2 before any data loads.
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <filesystem>
-#include <map>
+#include <optional>
 #include <string>
 
 #include "core/model.h"
@@ -46,47 +49,23 @@
 #include "store/embedding_store.h"
 #include "util/io.h"
 #include "util/string_util.h"
+#include "flags.h"
 
 using namespace bootleg;  // NOLINT
 
 namespace {
 
-/// Minimal --flag value parser; flags without '--' are positional.
-/// Accepts both `--flag value` and `--flag=value`.
-class Flags {
- public:
-  Flags(int argc, char** argv) {
-    for (int i = 2; i < argc; ++i) {
-      std::string arg = argv[i];
-      if (arg.rfind("--", 0) == 0) {
-        std::string key = arg.substr(2);
-        const size_t eq = key.find('=');
-        if (eq != std::string::npos) {
-          values_[key.substr(0, eq)] = key.substr(eq + 1);
-          continue;
-        }
-        if (i + 1 < argc && std::string(argv[i + 1]).rfind("--", 0) != 0) {
-          values_[key] = argv[++i];
-        } else {
-          values_[key] = "1";  // boolean flag
-        }
-      }
-    }
-  }
+using tools::Flags;
 
-  std::string Get(const std::string& key, const std::string& def = "") const {
-    auto it = values_.find(key);
-    return it == values_.end() ? def : it->second;
-  }
-  int64_t GetInt(const std::string& key, int64_t def) const {
-    auto it = values_.find(key);
-    return it == values_.end() ? def : std::stoll(it->second);
-  }
-  bool Has(const std::string& key) const { return values_.count(key) > 0; }
-
- private:
-  std::map<std::string, std::string> values_;
-};
+/// Every subcommand reads all the flags it knows, then calls this before it
+/// loads anything: an unknown flag or a non-integer integer flag prints its
+/// error, and the subcommand exits 2.
+bool BadFlags(const Flags& flags) {
+  const std::string error = flags.FirstError();
+  if (error.empty()) return false;
+  std::fprintf(stderr, "%s\n", error.c_str());
+  return true;
+}
 
 struct Dataset {
   kb::KnowledgeBase kb;
@@ -109,27 +88,30 @@ bool LoadDataset(const std::string& dir, Dataset* ds) {
   return true;
 }
 
-core::BootlegConfig ConfigFor(const std::string& ablation) {
+/// The preset for an --ablation name (or a .meta sidecar); nullopt when
+/// the name is not full|ent|type|kg.
+std::optional<core::BootlegConfig> ConfigFor(const std::string& ablation) {
   core::BootlegConfig config;
   config.encoder.max_len = 32;
   if (ablation == "ent") return core::BootlegConfig::EntOnly(config);
   if (ablation == "type") return core::BootlegConfig::TypeOnly(config);
   if (ablation == "kg") return core::BootlegConfig::KgOnly(config);
-  BOOTLEG_CHECK_MSG(ablation == "full", "unknown --ablation: " + ablation);
-  return config;
+  if (ablation == "full") return config;
+  return std::nullopt;
 }
 
 int CmdGen(const Flags& flags) {
   const std::string out = flags.Get("out");
-  if (out.empty()) {
-    std::fprintf(stderr, "gen requires --out DIR\n");
-    return 2;
-  }
   data::SynthConfig config = flags.Get("scale", "micro") == "main"
                                  ? data::SynthConfig()
                                  : data::SynthConfig::MicroScale();
   config.seed = static_cast<uint64_t>(flags.GetInt("seed", static_cast<int64_t>(config.seed)));
   config.num_pages = flags.GetInt("pages", config.num_pages);
+  if (BadFlags(flags)) return 2;
+  if (out.empty()) {
+    std::fprintf(stderr, "gen requires --out DIR\n");
+    return 2;
+  }
 
   std::filesystem::create_directories(out);
   const data::SynthWorld world = data::BuildWorld(config);
@@ -156,9 +138,11 @@ int CmdGen(const Flags& flags) {
 }
 
 int CmdInspect(const Flags& flags) {
-  Dataset ds;
-  if (!LoadDataset(flags.Get("data"), &ds)) return 1;
+  const std::string data_dir = flags.Get("data");
   const int64_t n = flags.GetInt("n", 10);
+  if (BadFlags(flags)) return 2;
+  Dataset ds;
+  if (!LoadDataset(data_dir, &ds)) return 1;
   std::printf("train sentences: %zu (showing %lld)\n", ds.corpus.train.size(),
               static_cast<long long>(n));
   for (int64_t i = 0; i < n && i < static_cast<int64_t>(ds.corpus.train.size());
@@ -172,29 +156,13 @@ int CmdInspect(const Flags& flags) {
 }
 
 int CmdTrain(const Flags& flags) {
-  Dataset ds;
-  if (!LoadDataset(flags.Get("data"), &ds)) return 1;
+  const std::string data_dir = flags.Get("data");
   const std::string model_path = flags.Get("model");
-  if (model_path.empty()) {
-    std::fprintf(stderr, "train requires --model PATH\n");
-    return 2;
-  }
   const std::string trace_out = flags.Get("trace_out");
-  if (!trace_out.empty()) obs::Trace::Enable(true);
-  if (!flags.Has("no-weak-labels")) {
-    const data::WeakLabelStats wl =
-        data::ApplyWeakLabeling(ds.kb, &ds.corpus.train);
-    std::printf("weak labeling: %.2fx labels\n", wl.Multiplier());
-  }
-  const data::EntityCounts counts =
-      data::EntityCounts::FromTraining(ds.corpus.train);
+  const bool weak_labels = !flags.Has("no-weak-labels");
   const std::string ablation = flags.Get("ablation", "full");
-  core::BootlegModel model(&ds.kb, ds.vocab.size(), ConfigFor(ablation),
-                           static_cast<uint64_t>(flags.GetInt("seed", 7)));
-  model.SetEntityCounts(&counts);
-
-  data::ExampleBuilder builder(&ds.candidates, &ds.vocab);
-  const auto examples = builder.BuildAll(ds.corpus.train, {});
+  const std::optional<core::BootlegConfig> config = ConfigFor(ablation);
+  const auto seed = static_cast<uint64_t>(flags.GetInt("seed", 7));
   core::TrainOptions options;
   options.epochs = flags.GetInt("epochs", 5);
   options.num_threads = static_cast<int>(flags.GetInt("threads", 0));
@@ -204,12 +172,44 @@ int CmdTrain(const Flags& flags) {
   options.checkpoint_every_steps = flags.GetInt("checkpoint_every", 0);
   options.checkpoint_retain = flags.GetInt("retain", 3);
   options.resume = flags.Has("resume");
-  if (flags.Has("fault_fail_after")) {
+  const int64_t fail_after_bytes = flags.GetInt("fault_fail_after", -1);
+  if (BadFlags(flags)) return 2;
+  if (!config.has_value()) {
+    std::fprintf(stderr, "unknown --ablation %s (full|ent|type|kg)\n",
+                 ablation.c_str());
+    return 2;
+  }
+  for (const char* flag : {"resume", "checkpoint_every"}) {
+    if (flags.Has(flag) && options.checkpoint_dir.empty()) {
+      std::fprintf(stderr, "--%s needs --checkpoint_dir\n", flag);
+      return 2;
+    }
+  }
+  if (model_path.empty()) {
+    std::fprintf(stderr, "train requires --model PATH\n");
+    return 2;
+  }
+  Dataset ds;
+  if (!LoadDataset(data_dir, &ds)) return 1;
+  if (!trace_out.empty()) obs::Trace::Enable(true);
+  if (weak_labels) {
+    const data::WeakLabelStats wl =
+        data::ApplyWeakLabeling(ds.kb, &ds.corpus.train);
+    std::printf("weak labeling: %.2fx labels\n", wl.Multiplier());
+  }
+  const data::EntityCounts counts =
+      data::EntityCounts::FromTraining(ds.corpus.train);
+  core::BootlegModel model(&ds.kb, ds.vocab.size(), *config, seed);
+  model.SetEntityCounts(&counts);
+
+  data::ExampleBuilder builder(&ds.candidates, &ds.vocab);
+  const auto examples = builder.BuildAll(ds.corpus.train, {});
+  if (fail_after_bytes >= 0) {
     // Test hook: simulate a crash by failing (and truncating) every write
     // past a total byte budget. Torn temp files are left on disk exactly as
     // a real kill would leave them.
     util::FaultInjector::Plan plan;
-    plan.fail_after_bytes = flags.GetInt("fault_fail_after", -1);
+    plan.fail_after_bytes = fail_after_bytes;
     util::FaultInjector::Arm(plan);
   }
   core::Trainable<core::BootlegModel> trainable(&model);
@@ -257,8 +257,14 @@ std::unique_ptr<core::BootlegModel> LoadModel(const Dataset& ds,
     const auto parts = util::Split(meta.value(), "\n");
     if (!parts.empty()) ablation = parts[0];
   }
+  const std::optional<core::BootlegConfig> config = ConfigFor(ablation);
+  if (!config.has_value()) {
+    std::fprintf(stderr, "error: %s.meta names unknown ablation \"%s\"\n",
+                 path.c_str(), ablation.c_str());
+    return nullptr;
+  }
   auto model = std::make_unique<core::BootlegModel>(
-      &ds.kb, ds.vocab.size(), ConfigFor(ablation), /*seed=*/7);
+      &ds.kb, ds.vocab.size(), *config, /*seed=*/7);
   const util::Status status =
       core::LoadSnapshotOrInvalidate(path, &model->store());
   if (!status.ok()) {
@@ -269,9 +275,18 @@ std::unique_ptr<core::BootlegModel> LoadModel(const Dataset& ds,
 }
 
 int CmdEval(const Flags& flags) {
+  const std::string data_dir = flags.Get("data");
+  const std::string model_path = flags.Get("model");
+  const bool test_split = flags.Get("split", "dev") == "test";
+  const bool char_fallback = flags.Has("char_fallback");
+  const std::string noise_rates = flags.Get("noise_rates");
+  const std::string overshadow_prior = flags.Get("overshadow_prior", "0.8");
+  const auto noise_seed = static_cast<uint64_t>(flags.GetInt("noise_seed", 1234));
+  const int threads = static_cast<int>(flags.GetInt("threads", 0));
+  if (BadFlags(flags)) return 2;
   Dataset ds;
-  if (!LoadDataset(flags.Get("data"), &ds)) return 1;
-  auto model = LoadModel(ds, flags.Get("model"));
+  if (!LoadDataset(data_dir, &ds)) return 1;
+  auto model = LoadModel(ds, model_path);
   if (model == nullptr) return 1;
   // Counts mirror training: weak labels included.
   data::ApplyWeakLabeling(ds.kb, &ds.corpus.train);
@@ -279,30 +294,27 @@ int CmdEval(const Flags& flags) {
       data::EntityCounts::FromTraining(ds.corpus.train);
   model->SetEntityCounts(&counts);
 
-  const auto& split =
-      flags.Get("split", "dev") == "test" ? ds.corpus.test : ds.corpus.dev;
-  if (flags.Has("char_fallback")) ds.vocab.BuildTypoIndex();
+  const auto& split = test_split ? ds.corpus.test : ds.corpus.dev;
+  if (char_fallback) ds.vocab.BuildTypoIndex();
   data::ExampleBuilder builder(&ds.candidates, &ds.vocab);
   data::ExampleOptions ex_options;
-  ex_options.char_fallback = flags.Has("char_fallback");
+  ex_options.char_fallback = char_fallback;
 
   // Robustness slices: --noise_rates 0.05,0.1 adds one perturbed evaluation
   // per rate; the overshadowed slice and prior-follow diagnostic are always
   // reported (they reuse the clean run's records).
   std::vector<double> rates;
-  for (const std::string& r : util::Split(flags.Get("noise_rates"), ",")) {
+  for (const std::string& r : util::Split(noise_rates, ",")) {
     if (!r.empty()) rates.push_back(std::atof(r.c_str()));
   }
   robust::OvershadowOptions ov_options;
   ov_options.dominance =
-      static_cast<float>(std::atof(
-          flags.Get("overshadow_prior", "0.8").c_str()));
+      static_cast<float>(std::atof(overshadow_prior.c_str()));
   const robust::OvershadowedIndex overshadowed =
       robust::OvershadowedIndex::Build(ds.candidates, ov_options);
   const robust::RobustReport report = robust::RunRobustEvaluation(
       model.get(), split, builder, ex_options, counts, overshadowed, rates,
-      static_cast<uint64_t>(flags.GetInt("noise_seed", 1234)),
-      static_cast<int>(flags.GetInt("threads", 0)));
+      noise_seed, threads);
 
   std::printf("%-12s %8s %8s\n", "bucket", "F1", "n");
   const eval::Prf overall = report.clean.Overall();
@@ -337,15 +349,18 @@ int CmdEval(const Flags& flags) {
 }
 
 int CmdPredict(const Flags& flags) {
-  Dataset ds;
-  if (!LoadDataset(flags.Get("data"), &ds)) return 1;
-  auto model = LoadModel(ds, flags.Get("model"));
-  if (model == nullptr) return 1;
+  const std::string data_dir = flags.Get("data");
+  const std::string model_path = flags.Get("model");
   const std::string text = flags.Get("text");
+  if (BadFlags(flags)) return 2;
   if (text.empty()) {
     std::fprintf(stderr, "predict requires --text \"...\"\n");
     return 2;
   }
+  Dataset ds;
+  if (!LoadDataset(data_dir, &ds)) return 1;
+  auto model = LoadModel(ds, model_path);
+  if (model == nullptr) return 1;
   const data::MentionExtractor extractor(&ds.candidates);
   const data::SentenceExample example = extractor.BuildExample(ds.vocab, text);
   if (example.mentions.empty()) {
@@ -372,24 +387,27 @@ int CmdPredict(const Flags& flags) {
 /// ("static") plus the raw entity embedding ("entity_emb", for inspection
 /// and downstream reuse), float32 or per-row symmetric int8.
 int CmdExportStore(const Flags& flags) {
-  Dataset ds;
-  if (!LoadDataset(flags.Get("data"), &ds)) return 1;
-  auto model = LoadModel(ds, flags.Get("model"));
-  if (model == nullptr) return 1;
+  const std::string data_dir = flags.Get("data");
+  const std::string model_path = flags.Get("model");
   const std::string out = flags.Get("out");
+  const std::string quant = flags.Get("quant", "float32");
+  store::WriteOptions options;
+  options.shards = flags.GetInt("shards", 4);
+  if (BadFlags(flags)) return 2;
   if (out.empty()) {
     std::fprintf(stderr, "export-store requires --out DIR\n");
     return 2;
   }
-  store::WriteOptions options;
-  const std::string quant = flags.Get("quant", "float32");
   if (quant == "int8") {
     options.dtype = store::Dtype::kInt8;
   } else if (quant != "float32") {
     std::fprintf(stderr, "unknown --quant %s (float32|int8)\n", quant.c_str());
     return 2;
   }
-  options.shards = flags.GetInt("shards", 4);
+  Dataset ds;
+  if (!LoadDataset(data_dir, &ds)) return 1;
+  auto model = LoadModel(ds, model_path);
+  if (model == nullptr) return 1;
 
   if (model->config().use_title_feature) {
     std::vector<int64_t> ids;
@@ -433,6 +451,8 @@ int CmdExportStore(const Flags& flags) {
 /// Inspects (and with --verify, checksum-walks) a store directory.
 int CmdStore(const Flags& flags) {
   const std::string dir = flags.Get("dir");
+  const bool verify = flags.Has("verify");
+  if (BadFlags(flags)) return 2;
   if (dir.empty()) {
     std::fprintf(stderr, "store requires --dir DIR\n");
     return 2;
@@ -464,7 +484,7 @@ int CmdStore(const Flags& flags) {
                   static_cast<unsigned long long>(s.file_bytes), s.payload_crc);
     }
   }
-  if (flags.Has("verify")) {
+  if (verify) {
     const util::Status status = es.Verify();
     if (!status.ok()) {
       std::fprintf(stderr, "verify FAILED: %s\n", status.ToString().c_str());
@@ -480,16 +500,24 @@ int CmdStore(const Flags& flags) {
 /// server's add_entity op runs, minus the in-process adoption.
 int CmdInduce(const Flags& flags) {
   const auto t_start = std::chrono::steady_clock::now();
-  Dataset ds;
-  if (!LoadDataset(flags.Get("data"), &ds)) return 1;
-  auto model = LoadModel(ds, flags.Get("model"));
-  if (model == nullptr) return 1;
+  const std::string data_dir = flags.Get("data");
+  const std::string model_path = flags.Get("model");
   const std::string dir = flags.Get("store");
   const std::string title = flags.Get("title");
+  const std::string coarse = flags.Get("coarse", "misc");
+  const std::string gender = flags.Get("gender", "n");
+  const std::string types = flags.Get("types");
+  const std::string relations = flags.Get("relations");
+  const std::string aliases = flags.Get("aliases");
+  if (BadFlags(flags)) return 2;
   if (dir.empty() || title.empty()) {
     std::fprintf(stderr, "induce requires --store DIR and --title TITLE\n");
     return 2;
   }
+  Dataset ds;
+  if (!LoadDataset(data_dir, &ds)) return 1;
+  auto model = LoadModel(ds, model_path);
+  if (model == nullptr) return 1;
 
   int64_t generation = -1;
   auto opened = store::OpenNewestGeneration(dir, &generation);
@@ -512,20 +540,18 @@ int CmdInduce(const Flags& flags) {
 
   index::DeltaEntity spec;
   spec.title = title;
-  const std::string coarse = flags.Get("coarse", "misc");
   const auto coarse_id = kb::CoarseTypeFromName(coarse);
   if (!coarse_id.has_value()) {
     std::fprintf(stderr, "unknown --coarse \"%s\"\n", coarse.c_str());
     return 2;
   }
   spec.coarse = *coarse_id;
-  const std::string gender = flags.Get("gender", "n");
   if (gender != "m" && gender != "f" && gender != "n") {
     std::fprintf(stderr, "--gender must be m, f or n\n");
     return 2;
   }
   spec.gender = gender[0];
-  for (const std::string& name : util::Split(flags.Get("types"), ",")) {
+  for (const std::string& name : util::Split(types, ",")) {
     const kb::TypeId id = ds.kb.FindTypeByName(name);
     if (id == kb::kInvalidId) {
       std::fprintf(stderr, "unknown type \"%s\"\n", name.c_str());
@@ -534,7 +560,7 @@ int CmdInduce(const Flags& flags) {
     spec.types.push_back(id);
   }
   // --relations rel=ObjectTitle,rel2=OtherTitle
-  for (const std::string& pair : util::Split(flags.Get("relations"), ",")) {
+  for (const std::string& pair : util::Split(relations, ",")) {
     const size_t eq = pair.find('=');
     if (eq == std::string::npos) {
       std::fprintf(stderr, "--relations entries are rel=ObjectTitle\n");
@@ -555,7 +581,7 @@ int CmdInduce(const Flags& flags) {
     spec.triples.push_back({rel, obj});
   }
   // --aliases "alias=0.5,other alias=0.3" (prior optional, default 0.5)
-  for (const std::string& pair : util::Split(flags.Get("aliases"), ",")) {
+  for (const std::string& pair : util::Split(aliases, ",")) {
     index::DeltaAlias alias;
     const size_t eq = pair.rfind('=');
     if (eq == std::string::npos) {
@@ -612,6 +638,7 @@ int CmdInduce(const Flags& flags) {
 /// Folds the newest delta chain into one flat generation.
 int CmdCompact(const Flags& flags) {
   const std::string dir = flags.Get("dir");
+  if (BadFlags(flags)) return 2;
   if (dir.empty()) {
     std::fprintf(stderr, "compact requires --dir DIR\n");
     return 2;
@@ -665,7 +692,7 @@ int Usage() {
 
 int main(int argc, char** argv) {
   if (argc < 2) return Usage();
-  const Flags flags(argc, argv);
+  const Flags flags(argc, argv, /*first=*/2);
   const std::string cmd = argv[1];
   if (cmd == "gen") return CmdGen(flags);
   if (cmd == "inspect") return CmdInspect(flags);

@@ -58,16 +58,12 @@
 // deployments) or the newest store generation (--store_dir deployments);
 // corrupt candidates are skipped, and a failed reload keeps serving the
 // previous weights/generation.
-#include <cerrno>
 #include <csignal>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <iostream>
-#include <map>
-#include <set>
 #include <string>
 
+#include "flags.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "serve/batcher.h"
@@ -89,77 +85,10 @@ constexpr char kUsage[] =
     "usage: bootleg_serve --data DIR (--model PATH | --checkpoint_dir DIR) "
     "[--port N | --stdin]\n";
 
-/// Same minimal --flag parser as bootleg_cli, minus the subcommand slot.
-/// Accepts both `--flag value` and `--flag=value`. Remembers which keys were
-/// read and which integer values did not parse, so main can reject both.
-class Flags {
- public:
-  Flags(int argc, char** argv) {
-    for (int i = 1; i < argc; ++i) {
-      std::string arg = argv[i];
-      if (arg.rfind("--", 0) != 0) continue;
-      std::string key = arg.substr(2);
-      const size_t eq = key.find('=');
-      if (eq != std::string::npos) {
-        values_[key.substr(0, eq)] = key.substr(eq + 1);
-        continue;
-      }
-      if (i + 1 < argc && std::string(argv[i + 1]).rfind("--", 0) != 0) {
-        values_[key] = std::string(argv[++i]);
-      } else {
-        values_[key] = std::string("1");
-      }
-    }
-  }
-  std::string Get(const std::string& key, const std::string& fallback = "") const {
-    auto it = Find(key);
-    return it == values_.end() ? fallback : it->second;
-  }
-  int64_t GetInt(const std::string& key, int64_t fallback) const {
-    auto it = Find(key);
-    if (it == values_.end()) return fallback;
-    const std::string& text = it->second;
-    char* end = nullptr;
-    errno = 0;
-    const long long value = std::strtoll(text.c_str(), &end, 10);
-    if (text.empty() || *end != '\0' || errno == ERANGE) {
-      if (bad_value_.empty()) {
-        bad_value_ = "--" + key + " needs a whole number, got '" + text + "'";
-      }
-      return fallback;
-    }
-    return value;
-  }
-  double GetDouble(const std::string& key, double fallback) const {
-    auto it = Find(key);
-    return it == values_.end() ? fallback : std::atof(it->second.c_str());
-  }
-  bool Has(const std::string& key) const { return Find(key) != values_.end(); }
-  /// The first command-line error ("" if none): a flag that no getter has
-  /// read, else an integer flag whose value is not a whole number.
-  std::string FirstError() const {
-    for (const auto& [key, value] : values_) {
-      if (read_.count(key) == 0) return "unknown flag --" + key;
-    }
-    return bad_value_;
-  }
-
- private:
-  std::map<std::string, std::string>::const_iterator Find(
-      const std::string& key) const {
-    read_.insert(key);
-    return values_.find(key);
-  }
-
-  std::map<std::string, std::string> values_;
-  mutable std::set<std::string> read_;
-  mutable std::string bad_value_;
-};
-
 }  // namespace
 
 int main(int argc, char** argv) {
-  const Flags flags(argc, argv);
+  const tools::Flags flags(argc, argv);
   // Spans feed the stats op's per-stage breakdown; --no_trace turns the
   // clock reads off (span scopes then cost one atomic load + branch).
   obs::Trace::Enable(!flags.Has("no_trace"));

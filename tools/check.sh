@@ -10,15 +10,18 @@
 #      SIMD tiles there, on its shapes, before rejecting them at -O1).
 #   3. TSan build: checkpointed data-parallel training + parallel + serve +
 #      the kernel path.
-#   4. CLI crash-recovery drill: train with checkpointing, kill the run
-#      mid-checkpoint-write via fault injection (leaving a torn temp file),
-#      corrupt the newest checkpoint, resume, and verify the final model is
-#      byte-identical to an uninterrupted run.
+#   4. CLI crash-recovery drill, at 1 and at 2 threads: train with
+#      checkpointing, kill the run mid-checkpoint-write via fault injection
+#      (leaving a torn temp file), corrupt the newest checkpoint, resume, and
+#      verify the final model is byte-identical to an uninterrupted run that
+#      wrote no checkpoints.
 #   5. Serve smoke drill: bring up bootleg_serve on the tiny model from (4),
 #      drive it over stdin and TCP with concurrent clients (malformed lines
 #      included), assert stats are sane, hot-reload via SIGHUP, and verify a
 #      clean SIGTERM shutdown. An unknown or retired flag (--max_wait_us,
-#      --backend) and a non-integer integer flag must exit 2.
+#      --backend) and a non-integer integer flag must exit 2; so must
+#      `bootleg_cli train` with a non-integer --epochs, an unknown
+#      --ablation, a misspelled flag, or --resume without --checkpoint_dir.
 #   6. Observability self-check: metrics/trace unit tests, the stats op must
 #      export the metrics registry (queue-wait histogram included) and
 #      per-stage spans covering a request end to end, and `train --trace_out`
@@ -113,49 +116,65 @@ fi
 
 echo "==> [4/11] CLI kill-at-step-K -> resume -> bit-identical verify"
 CLI=./build/tools/bootleg_cli
-WORK="$(mktemp -d /tmp/bootleg_check.XXXXXX)"
+WORK="$(mktemp -d "${TMPDIR:-/tmp}/bootleg_check.XXXXXX")"
 trap 'rm -rf "$WORK"' EXIT
 
 "$CLI" gen --out "$WORK/data" --scale micro --pages 30 >/dev/null
 
-TRAIN_FLAGS=(--data "$WORK/data" --epochs 2 --threads 2 --checkpoint_every 2)
+# One round per worker count: $1 = threads, $2 = where the reference model
+# goes. The reference run writes no checkpoints at all, so the cmp at the end
+# also proves that checkpointing and resuming never change what is trained.
+crash_resume_round() {
+  local threads="$1" ref="$2"
+  local ckpt="$WORK/ckpt_t$threads"
+  local flags=(--data "$WORK/data" --epochs 2 --threads "$threads")
+  "$CLI" train "${flags[@]}" --model "$ref" >/dev/null
 
-# Uninterrupted reference run (checkpointing on, so both runs take the same
-# stateful loop; its own dir so the killed run can't see its snapshots).
-"$CLI" train "${TRAIN_FLAGS[@]}" --model "$WORK/ref.bin" \
-  --checkpoint_dir "$WORK/ckpt_ref" >/dev/null
+  # Size the fault budget from one real checkpoint at this worker count.
+  "$CLI" train "${flags[@]}" --model "$WORK/probe.bin" --max_steps 1 \
+    --checkpoint_dir "$WORK/probe_t$threads" --checkpoint_every 1 >/dev/null
+  local ckpt_bytes budget
+  ckpt_bytes=$(stat -c%s "$(ls "$WORK/probe_t$threads"/ckpt_*.bin | head -1)")
+  budget=$((ckpt_bytes * 3 / 2))
 
-# Killed run: stop at step 5, and inject a write fault so the in-flight
-# checkpoint write at step 4 tears mid-file. The byte budget admits roughly
-# 1.5 checkpoints, so ckpt_2 lands whole and ckpt_4 is torn. (Any reference
-# checkpoint works for sizing — they are all the same shape.)
-CKPT_BYTES=$(stat -c%s "$(ls "$WORK/ckpt_ref"/ckpt_*.bin | head -1)")
-BUDGET=$((CKPT_BYTES * 3 / 2))
-set +e
-"$CLI" train "${TRAIN_FLAGS[@]}" --model "$WORK/killed.bin" \
-  --checkpoint_dir "$WORK/ckpt" --max_steps 5 \
-  --fault_fail_after "$BUDGET" >/dev/null 2>&1
-KILLED_RC=$?
-set -e
-[[ "$KILLED_RC" != "0" ]] || { echo "FAIL: killed run exited cleanly"; exit 1; }
-[[ ! -f "$WORK/killed.bin" ]] || { echo "FAIL: killed run saved a model"; exit 1; }
-ls "$WORK/ckpt"/*.tmp >/dev/null 2>&1 \
-  || { echo "FAIL: no torn temp file left by the simulated crash"; exit 1; }
-ls "$WORK/ckpt"/ckpt_*.bin >/dev/null 2>&1 \
-  || { echo "FAIL: no durable checkpoint survived the crash"; exit 1; }
+  # Killed run: stop at step 5, and inject a write fault so the in-flight
+  # checkpoint write at step 4 tears mid-file. The byte budget admits roughly
+  # 1.5 checkpoints, so ckpt_2 lands whole and ckpt_4 is torn.
+  set +e
+  "$CLI" train "${flags[@]}" --model "$WORK/killed.bin" \
+    --checkpoint_dir "$ckpt" --checkpoint_every 2 --max_steps 5 \
+    --fault_fail_after "$budget" >/dev/null 2>&1
+  local killed_rc=$?
+  set -e
+  [[ "$killed_rc" != "0" ]] \
+    || { echo "FAIL: killed run exited cleanly ($threads threads)"; exit 1; }
+  [[ ! -f "$WORK/killed.bin" ]] \
+    || { echo "FAIL: killed run saved a model ($threads threads)"; exit 1; }
+  ls "$ckpt"/*.tmp >/dev/null 2>&1 \
+    || { echo "FAIL: no torn temp file left by the simulated crash"; exit 1; }
+  ls "$ckpt"/ckpt_*.bin >/dev/null 2>&1 \
+    || { echo "FAIL: no durable checkpoint survived the crash"; exit 1; }
 
-# Corrupt the newest surviving checkpoint too: recovery must fall back.
-NEWEST=$(ls "$WORK/ckpt"/ckpt_*.bin | sort -t_ -k2 -n | tail -1)
-if [[ $(ls "$WORK/ckpt"/ckpt_*.bin | wc -l) -gt 1 ]]; then
-  printf '\x7f' | dd of="$NEWEST" bs=1 seek=40 conv=notrunc status=none
-fi
+  # Corrupt the newest surviving checkpoint too: recovery must fall back.
+  local newest
+  newest=$(ls "$ckpt"/ckpt_*.bin | sort -t_ -k2 -n | tail -1)
+  if [[ $(ls "$ckpt"/ckpt_*.bin | wc -l) -gt 1 ]]; then
+    printf '\x7f' | dd of="$newest" bs=1 seek=40 conv=notrunc status=none
+  fi
 
-# Resume and finish; the final model must match the reference byte-for-byte.
-"$CLI" train "${TRAIN_FLAGS[@]}" --model "$WORK/resumed.bin" \
-  --checkpoint_dir "$WORK/ckpt" --resume | grep -q "resumed from checkpoint" \
-  || { echo "FAIL: resume did not pick up a checkpoint"; exit 1; }
-cmp "$WORK/ref.bin" "$WORK/resumed.bin" \
-  || { echo "FAIL: resumed model differs from uninterrupted run"; exit 1; }
+  # Resume and finish; the final model must match the reference
+  # byte-for-byte.
+  "$CLI" train "${flags[@]}" --model "$WORK/resumed.bin" \
+    --checkpoint_dir "$ckpt" --checkpoint_every 2 --resume \
+    | grep -q "resumed from checkpoint" \
+    || { echo "FAIL: resume did not pick up a checkpoint"; exit 1; }
+  cmp "$ref" "$WORK/resumed.bin" \
+    || { echo "FAIL: resumed model differs from a run without checkpoints" \
+              "($threads threads)"; exit 1; }
+  rm -f "$WORK/resumed.bin" "$WORK/probe.bin"
+}
+crash_resume_round 1 "$WORK/ref_t1.bin"
+crash_resume_round 2 "$WORK/ref.bin"
 
 echo "==> [5/11] serve smoke drill: stdin + TCP, concurrency, SIGHUP, shutdown"
 SERVE=./build/tools/bootleg_serve
@@ -183,26 +202,40 @@ echo "$STDIN_OUT" | sed -n 5p \
   || { echo "FAIL: stdin serve: stats missing error count or latency"; exit 1; }
 
 # --- Bad flags: a retired or misspelled flag, or an integer flag whose -------
-# value is not a whole number, fails loudly instead of serving on defaults.
-bad_flag() {  # $1 = expected stderr text; remaining args = the bad flag
+# value is not a whole number, fails loudly instead of running on defaults.
+exits_2() {  # $1 = expected stderr text; remaining args = the command line
   local want="$1"
   shift
   set +e
-  "$SERVE" --data "$WORK/data" --model "$WORK/ref.bin" --stdin "$@" \
-    </dev/null >/dev/null 2>"$WORK/bad_flag.log"
+  "$@" </dev/null >/dev/null 2>"$WORK/bad_flag.log"
   local rc=$?
   set -e
   [[ "$rc" == "2" ]] \
-    || { echo "FAIL: serve: $* exited $rc, want 2"; exit 1; }
+    || { echo "FAIL: ${*:1:2} ... exited $rc, want 2"; exit 1; }
   grep -q -- "$want" "$WORK/bad_flag.log" \
-    || { echo "FAIL: serve: $* not named on stderr"; exit 1; }
+    || { echo "FAIL: ${*:1:2} ...: '$want' not on stderr"; exit 1; }
+}
+bad_flag() {  # $1 = expected stderr text; remaining args = the bad flag
+  exits_2 "$1" "$SERVE" --data "$WORK/data" --model "$WORK/ref.bin" --stdin \
+    "${@:2}"
 }
 bad_flag 'unknown flag --max_wait_us' --max_wait_us 500
 bad_flag 'unknown flag --backend' --backend simd
 bad_flag '--max_batch needs a whole number' --max_batch abc
+# bootleg_cli rejects the same mistakes before it loads any data.
+bad_train_flag() {  # $1 = expected stderr text; remaining args = the bad flag
+  exits_2 "$1" "$CLI" train --data "$WORK/data" --model "$WORK/bad.bin" \
+    "${@:2}"
+}
+bad_train_flag '--epochs needs a whole number' --epochs abc
+bad_train_flag 'unknown --ablation foo' --ablation foo
+bad_train_flag 'unknown flag --epoch' --epoch 3
+bad_train_flag '--resume needs --checkpoint_dir' --resume
+[[ ! -f "$WORK/bad.bin" ]] \
+  || { echo "FAIL: cli: a rejected train command saved a model"; exit 1; }
 
 # --- TCP transport: concurrent clients, SIGHUP hot-reload, clean SIGTERM. ---
-"$SERVE" --data "$WORK/data" --checkpoint_dir "$WORK/ckpt_ref" --port 0 \
+"$SERVE" --data "$WORK/data" --checkpoint_dir "$WORK/ckpt_t2" --port 0 \
   2>"$WORK/serve.log" &
 SERVE_PID=$!
 PORT=""

@@ -34,45 +34,14 @@
 #include <cstdio>
 #include <cstring>
 #include <deque>
-#include <map>
 #include <mutex>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "flags.h"
+
 namespace {
-
-class Flags {
- public:
-  Flags(int argc, char** argv) {
-    for (int i = 1; i < argc; ++i) {
-      std::string arg = argv[i];
-      if (arg.rfind("--", 0) != 0) continue;
-      std::string key = arg.substr(2);
-      const size_t eq = key.find('=');
-      if (eq != std::string::npos) {
-        values_[key.substr(0, eq)] = key.substr(eq + 1);
-        continue;
-      }
-      if (i + 1 < argc && std::string(argv[i + 1]).rfind("--", 0) != 0) {
-        values_[key] = std::string(argv[++i]);
-      } else {
-        values_[key] = std::string("1");
-      }
-    }
-  }
-  std::string Get(const std::string& key, const std::string& fallback = "") const {
-    auto it = values_.find(key);
-    return it == values_.end() ? fallback : it->second;
-  }
-  int64_t GetInt(const std::string& key, int64_t fallback) const {
-    auto it = values_.find(key);
-    return it == values_.end() ? fallback : std::atoll(it->second.c_str());
-  }
-
- private:
-  std::map<std::string, std::string> values_;
-};
 
 int ConnectLoopback(int port) {
   const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
@@ -286,12 +255,8 @@ void RunBigBlob(int port, Tally* tally) {
 
 int main(int argc, char** argv) {
   std::signal(SIGPIPE, SIG_IGN);
-  const Flags flags(argc, argv);
+  const bootleg::tools::Flags flags(argc, argv);
   const int port = static_cast<int>(flags.GetInt("port", 0));
-  if (port <= 0) {
-    std::fprintf(stderr, "usage: overload_drill --port N [--conns N] ...\n");
-    return 2;
-  }
   const int conns = static_cast<int>(flags.GetInt("conns", 32));
   const int pipeline = static_cast<int>(flags.GetInt("pipeline", 8));
   const int requests = static_cast<int>(flags.GetInt("requests", 100));
@@ -300,6 +265,12 @@ int main(int argc, char** argv) {
   const int deadreaders = static_cast<int>(flags.GetInt("deadreaders", 0));
   const int bigblobs = static_cast<int>(flags.GetInt("bigblobs", 0));
   const std::string text = flags.Get("text", "drill");
+  const std::string flag_error = flags.FirstError();
+  if (!flag_error.empty() || port <= 0) {
+    if (!flag_error.empty()) std::fprintf(stderr, "%s\n", flag_error.c_str());
+    std::fprintf(stderr, "usage: overload_drill --port N [--conns N] ...\n");
+    return 2;
+  }
 
   std::string line = "{\"op\":\"disambiguate\",\"text\":\"" + text + "\"";
   if (deadline_ms > 0) {

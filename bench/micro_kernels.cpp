@@ -1,7 +1,7 @@
 // Micro-kernel throughput benchmarks (google-benchmark): the tensor and
-// model kernels that dominate training and inference time — matmul,
-// softmax, multi-head attention, the KG2Ent adjacency step, candidate
-// generation, and end-to-end Bootleg sentence inference.
+// model kernels that dominate training and inference time — matmul (square
+// and short-row), Gelu, softmax, multi-head attention, the KG2Ent adjacency
+// step, candidate generation, and end-to-end Bootleg sentence inference.
 #include <benchmark/benchmark.h>
 
 #include "core/model.h"
@@ -29,6 +29,37 @@ void BM_MatMul(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * n * n * n);
 }
 BENCHMARK(BM_MatMul)->Arg(32)->Arg(64)->Arg(128);
+
+// Short-row products: m rows of a batch-1 sentence against a 64×128 weight,
+// the shapes the zmm short-row tiles serve. Reported as BM_MatMul/m/k/n.
+void BM_MatMulShape(benchmark::State& state) {
+  const int64_t m = state.range(0), k = state.range(1), n = state.range(2);
+  util::Rng rng(1);
+  tensor::Tensor a = tensor::Tensor::Randn({m, k}, &rng);
+  tensor::Tensor b = tensor::Tensor::Randn({k, n}, &rng);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(tensor::MatMul(a, b));
+  }
+  state.SetItemsProcessed(state.iterations() * m * k * n);
+}
+BENCHMARK(BM_MatMulShape)
+    ->Name("BM_MatMul")
+    ->Args({1, 64, 128})
+    ->Args({3, 64, 128})
+    ->Args({7, 64, 128});
+
+// The feed-forward activation at one batch-1 sentence ([7,128]) and at a
+// batch-8 encoder call ([57,128]).
+void BM_Gelu(benchmark::State& state) {
+  const int64_t rows = state.range(0), cols = state.range(1);
+  util::Rng rng(1);
+  tensor::Tensor a = tensor::Tensor::Randn({rows, cols}, &rng);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(tensor::Gelu(a));
+  }
+  state.SetItemsProcessed(state.iterations() * rows * cols);
+}
+BENCHMARK(BM_Gelu)->Args({7, 128})->Args({57, 128});
 
 // Pre-rewrite naive kernel, kept as the speedup baseline for the production
 // MatMul above (the SIMD tiles wherever the probe selects them).

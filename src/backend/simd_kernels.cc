@@ -134,8 +134,8 @@ void MatMulTile6x16(const float* pa, const float* pb, float* pc, int64_t i,
   _mm256_storeu_ps(crow + 8, c51);
 }
 
-/// Columns [j0, n) of rows [i, i+6): the 8-wide and scalar column tails,
-/// via the template tile's tail logic run on a 6-row block.
+/// Columns [j0, n) of rows [i, i+RB): the 8-wide and scalar column tails of
+/// the template tile, run after a row block's wider tiles.
 template <int RB>
 void MatMulColsTail(const float* pa, const float* pb, float* pc, int64_t i,
                     int64_t j0, int64_t k, int64_t n) {
@@ -304,6 +304,55 @@ void MatMulTile8x16z(const float* pa, const float* pb, float* pc, int64_t i,
   _mm512_storeu_ps(pc + (i + 7) * n + j, c7);
 }
 
+/// RB rows × 16·CB columns, one zmm accumulator per row and 16 columns: the
+/// short-row tiles for the row blocks below 8 that batch-1 serving runs. One
+/// row here keeps CB 16-lane FMA chains in flight where the ymm MatMulTile<1>
+/// keeps two 8-lane ones. Each element is still one ascending-k FMA chain.
+template <int RB, int CB>
+void MatMulTileZ(const float* pa, const float* pb, float* pc, int64_t i,
+                 int64_t j, int64_t k, int64_t n) {
+  const float* arow[RB];
+  for (int r = 0; r < RB; ++r) arow[r] = pa + (i + r) * k;
+  __m512 acc[RB][CB];
+  for (int r = 0; r < RB; ++r) {
+    for (int c = 0; c < CB; ++c) acc[r][c] = _mm512_setzero_ps();
+  }
+  for (int64_t kk = 0; kk < k; ++kk) {
+    const float* brow = pb + kk * n + j;
+    __m512 b[CB];
+    for (int c = 0; c < CB; ++c) b[c] = _mm512_loadu_ps(brow + 16 * c);
+    for (int r = 0; r < RB; ++r) {
+      const __m512 av = _mm512_set1_ps(arow[r][kk]);
+      for (int c = 0; c < CB; ++c) {
+        acc[r][c] = _mm512_fmadd_ps(av, b[c], acc[r][c]);
+      }
+    }
+  }
+  for (int r = 0; r < RB; ++r) {
+    for (int c = 0; c < CB; ++c) {
+      _mm512_storeu_ps(pc + (i + r) * n + j + 16 * c, acc[r][c]);
+    }
+  }
+}
+
+/// All n >= 16 columns of rows [i, i+RB), RB in {4, 2, 1}: 64-, 32- and
+/// 16-wide zmm tiles, then the ymm and scalar column tails.
+template <int RB>
+void MatMulRowsZmmShort(const float* pa, const float* pb, float* pc, int64_t i,
+                        int64_t k, int64_t n) {
+  int64_t j = 0;
+  for (; j + 64 <= n; j += 64) MatMulTileZ<RB, 4>(pa, pb, pc, i, j, k, n);
+  if (j + 32 <= n) {
+    MatMulTileZ<RB, 2>(pa, pb, pc, i, j, k, n);
+    j += 32;
+  }
+  if (j + 16 <= n) {
+    MatMulTileZ<RB, 1>(pa, pb, pc, i, j, k, n);
+    j += 16;
+  }
+  if (j < n) MatMulColsTail<RB>(pa, pb, pc, i, j, k, n);
+}
+
 void MatMulRowsZmm(const float* pa, const float* pb, float* pc, int64_t i0,
                    int64_t i1, int64_t k, int64_t n) {
   int64_t i = i0;
@@ -316,8 +365,15 @@ void MatMulRowsZmm(const float* pa, const float* pb, float* pc, int64_t i0,
     }
     if (j < n) MatMulColsTail<8>(pa, pb, pc, i, j, k, n);
   }
-  for (; i + 4 <= i1; i += 4) MatMulTile<4>(pa, pb, pc, i, k, n);
-  for (; i < i1; ++i) MatMulTile<1>(pa, pb, pc, i, k, n);
+  if (i + 4 <= i1) {
+    MatMulRowsZmmShort<4>(pa, pb, pc, i, k, n);
+    i += 4;
+  }
+  if (i + 2 <= i1) {
+    MatMulRowsZmmShort<2>(pa, pb, pc, i, k, n);
+    i += 2;
+  }
+  if (i < i1) MatMulRowsZmmShort<1>(pa, pb, pc, i, k, n);
 }
 #endif  // BOOTLEG_SIMD_AVX512
 

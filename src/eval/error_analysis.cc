@@ -22,15 +22,20 @@ const char* ErrorBucketName(ErrorBucket b) {
 
 namespace {
 
-/// True if `s` contains a 4-digit run (a year in the synthetic titles).
+/// True if `s` contains a standalone 4-digit token: exactly four digits with
+/// a non-alphanumeric character or the string's end on each side, like the
+/// year in "games_2012_e5". Digit runs glued to letters ("ttl_e1255") are ids.
 bool ContainsYear(const std::string& s) {
-  int run = 0;
-  for (char c : s) {
-    if (std::isdigit(static_cast<unsigned char>(c))) {
-      if (++run >= 4) return true;
-    } else {
-      run = 0;
+  auto alnum = [&s](size_t i) {
+    return i < s.size() && std::isalnum(static_cast<unsigned char>(s[i]));
+  };
+  for (size_t i = 0; i + 4 <= s.size(); ++i) {
+    if (i > 0 && alnum(i - 1)) continue;
+    bool digits = true;
+    for (size_t j = i; j < i + 4; ++j) {
+      digits = digits && std::isdigit(static_cast<unsigned char>(s[j]));
     }
+    if (digits && !alnum(i + 4)) return true;
   }
   return false;
 }

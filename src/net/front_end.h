@@ -157,7 +157,9 @@ class FrontEnd {
   int listen_fd_ = -1;
   int port_ = 0;
   bool started_ = false;
-  bool stopped_ = false;
+  // Set by Stop() on the caller's thread, read by the loop threads' accept
+  // and idle-sweep callbacks.
+  std::atomic<bool> stopped_{false};
 
   std::vector<std::unique_ptr<Loop>> loops_;
   std::vector<std::thread> threads_;

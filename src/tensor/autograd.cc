@@ -3,6 +3,8 @@
 #include <cmath>
 #include <unordered_set>
 
+#include "backend/tanh_kernels.h"
+
 namespace bootleg::tensor {
 
 using internal_autograd::Node;
@@ -268,10 +270,11 @@ Var Gelu(const Var& a) {
     float* dp = d.data();
     const float* xp = n.inputs[0]->value.data();
     const int64_t numel = d.numel();
+    std::vector<float> tanh_inner(static_cast<size_t>(numel));
+    backend::GeluTanhRow(xp, tanh_inner.data(), numel);
     for (int64_t i = 0; i < numel; ++i) {
       const float v = xp[i];
-      const float inner = kC * (v + 0.044715f * v * v * v);
-      const float t = std::tanh(inner);
+      const float t = tanh_inner[i];
       const float dinner = kC * (1.0f + 3.0f * 0.044715f * v * v);
       const float dgelu = 0.5f * (1.0f + t) + 0.5f * v * (1.0f - t * t) * dinner;
       dp[i] *= dgelu;

@@ -6,6 +6,7 @@
 
 #include "backend/simd_kernels.h"
 #include "backend/simd_primitives.h"
+#include "backend/tanh_kernels.h"
 #include "util/thread_pool.h"
 
 namespace bootleg::tensor {
@@ -191,12 +192,12 @@ bool BitEqual(const Tensor& a, const Tensor& b) {
 }
 
 /// The bit-identity probe behind SimdTilesActive(): runs the SIMD tiles
-/// against the portable loops on shapes that reach every tile branch — 32-,
-/// 16- and 8-wide column blocks and scalar column tails, 8-, 6-, 4- and
-/// 1-row blocks, k tails, the n = 1 matvec the scorer uses, and transposed-B
-/// k tails and 4-column blocks. Any bitwise mismatch keeps the portable loops:
-/// in a -O1 sanitizer build, for one, the compiler does not contract the
-/// portable multiply-adds into FMA.
+/// against the portable loops on shapes that reach every tile branch — 64-,
+/// 32-, 16- and 8-wide column blocks and scalar column tails, 8-, 6-, 4-, 2-
+/// and 1-row blocks, k tails, the n = 1 matvec the scorer uses, and
+/// transposed-B k tails and 4-column blocks. Any bitwise mismatch keeps the
+/// portable loops: in a -O1 sanitizer build, for one, the compiler does not
+/// contract the portable multiply-adds into FMA.
 bool ProbeSimdTiles() {
   if (!backend::CpuHasAvx2Fma()) return false;
   // Every process pays for this once, at its first matmul: keep the shapes
@@ -205,6 +206,7 @@ bool ProbeSimdTiles() {
   const int64_t shapes[][3] = {
       {1, 16, 40}, {2, 5, 3},    {3, 33, 7}, {4, 64, 16},
       {5, 67, 35}, {6, 130, 24}, {9, 64, 1}, {8, 21, 56},
+      {7, 64, 128}, {3, 64, 80}, {2, 33, 48},
   };
   for (const auto& shape : shapes) {
     const int64_t m = shape[0], k = shape[1], n = shape[2];
@@ -595,7 +597,7 @@ Tensor TanhT(const Tensor& a) {
   Tensor c = a;
   float* pc = c.data();
   Dispatch(c.numel(), 1 << 12, [pc](int64_t lo, int64_t hi) {
-        for (int64_t i = lo; i < hi; ++i) pc[i] = std::tanh(pc[i]);
+        backend::TanhRow(pc + lo, pc + lo, hi - lo);
       });
   return c;
 }
@@ -603,13 +605,8 @@ Tensor TanhT(const Tensor& a) {
 Tensor Gelu(const Tensor& a) {
   Tensor c = a;
   float* pc = c.data();
-  constexpr float kSqrt2OverPi = 0.7978845608f;
   Dispatch(c.numel(), 1 << 12, [pc](int64_t lo, int64_t hi) {
-        for (int64_t i = lo; i < hi; ++i) {
-          const float v = pc[i];
-          const float inner = kSqrt2OverPi * (v + 0.044715f * v * v * v);
-          pc[i] = 0.5f * v * (1.0f + std::tanh(inner));
-        }
+        backend::GeluRow(pc + lo, pc + lo, hi - lo);
       });
   return c;
 }

@@ -175,7 +175,9 @@ Tensor LogSoftmaxRows(const Tensor& a);
 /// Elementwise max.
 Tensor Max(const Tensor& a, const Tensor& b);
 
-/// Elementwise ReLU / tanh / GELU (tanh approximation).
+/// Elementwise ReLU / tanh / GELU (tanh approximation). tanh is
+/// backend::Tanh, glibc's fdlibm tanhf ported bit for bit
+/// (backend/tanh_kernels.h), on every host.
 Tensor Relu(const Tensor& a);
 Tensor TanhT(const Tensor& a);
 Tensor Gelu(const Tensor& a);

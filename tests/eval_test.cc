@@ -193,6 +193,23 @@ TEST(ErrorBucketTest, NumericalDetectsYearInTitle) {
   EXPECT_FALSE(InErrorBucket(kb, r, ErrorBucket::kNumerical));
 }
 
+TEST(ErrorBucketTest, NumericalNeedsAStandaloneFourDigitToken) {
+  kb::KnowledgeBase kb;
+  for (const char* title :
+       {"ttl_e1255", "games_2012_e5", "2012", "x_12345_y", "a1999"}) {
+    kb::Entity e;
+    e.title = title;
+    kb.AddEntity(e);
+  }
+  PredictionRecord r;
+  const bool want[] = {false, true, true, false, false};
+  for (size_t i = 0; i < std::size(want); ++i) {
+    r.gold = static_cast<kb::EntityId>(i);
+    EXPECT_EQ(InErrorBucket(kb, r, ErrorBucket::kNumerical), want[i])
+        << kb.entity(r.gold).title;
+  }
+}
+
 TEST(ErrorBucketTest, GranularityUsesSubclassHierarchy) {
   kb::KnowledgeBase kb;
   kb.AddEntity({});

@@ -102,9 +102,10 @@ std::optional<core::BootlegConfig> ConfigFor(const std::string& ablation) {
 
 int CmdGen(const Flags& flags) {
   const std::string out = flags.Get("out");
-  data::SynthConfig config = flags.Get("scale", "micro") == "main"
-                                 ? data::SynthConfig()
-                                 : data::SynthConfig::MicroScale();
+  data::SynthConfig config =
+      flags.GetChoice("scale", "micro", {"micro", "main"}) == "main"
+          ? data::SynthConfig()
+          : data::SynthConfig::MicroScale();
   config.seed = static_cast<uint64_t>(flags.GetInt("seed", static_cast<int64_t>(config.seed)));
   config.num_pages = flags.GetInt("pages", config.num_pages);
   if (BadFlags(flags)) return 2;
@@ -277,7 +278,8 @@ std::unique_ptr<core::BootlegModel> LoadModel(const Dataset& ds,
 int CmdEval(const Flags& flags) {
   const std::string data_dir = flags.Get("data");
   const std::string model_path = flags.Get("model");
-  const bool test_split = flags.Get("split", "dev") == "test";
+  const bool test_split =
+      flags.GetChoice("split", "dev", {"dev", "test"}) == "test";
   const bool char_fallback = flags.Has("char_fallback");
   const std::string noise_rates = flags.Get("noise_rates");
   const std::string overshadow_prior = flags.Get("overshadow_prior", "0.8");

@@ -7,7 +7,8 @@
 #      serve, the kernel path; UBSan build: serve + net (request parsing,
 #      batching and framing of untrusted bytes), io fuzzing, the index and
 #      raw-text robustness, and the tensor kernels (the probe still runs the
-#      SIMD tiles there, on its shapes, before rejecting them at -O1).
+#      SIMD tiles there, on its shapes, before rejecting them at -O1) and
+#      the kernel path, whose vector tanh runs at -O1 too.
 #   3. TSan build: checkpointed data-parallel training + parallel + serve +
 #      the kernel path.
 #   4. CLI crash-recovery drill, at 1 and at 2 threads: train with
@@ -21,7 +22,8 @@
 #      clean SIGTERM shutdown. An unknown or retired flag (--max_wait_us,
 #      --backend) and a non-integer integer flag must exit 2; so must
 #      `bootleg_cli train` with a non-integer --epochs, an unknown
-#      --ablation, a misspelled flag, or --resume without --checkpoint_dir.
+#      --ablation, a misspelled flag, or --resume without --checkpoint_dir,
+#      and `gen --scale` or `eval --split` with a value outside its choices.
 #   6. Observability self-check: metrics/trace unit tests, the stats op must
 #      export the metrics registry (queue-wait histogram included) and
 #      per-stage spans covering a request end to end, and `train --trace_out`
@@ -93,9 +95,9 @@ if [[ "$SKIP_SAN" == "0" ]]; then
   cmake -B build-ubsan -S . -DBOOTLEG_SANITIZE=undefined >/dev/null
   cmake --build build-ubsan -j"$JOBS" \
     --target serve_test net_test io_fuzz_test robust_test index_test \
-             parallel_test tensor_test >/dev/null
+             parallel_test tensor_test backend_test >/dev/null
   for t in serve_test net_test io_fuzz_test robust_test index_test \
-           parallel_test tensor_test; do
+           parallel_test tensor_test backend_test; do
     echo "  ubsan: $t"
     UBSAN_OPTIONS=print_stacktrace=1 ./build-ubsan/tests/"$t" >/dev/null
   done
@@ -231,6 +233,14 @@ bad_train_flag '--epochs needs a whole number' --epochs abc
 bad_train_flag 'unknown --ablation foo' --ablation foo
 bad_train_flag 'unknown flag --epoch' --epoch 3
 bad_train_flag '--resume needs --checkpoint_dir' --resume
+# A choice flag with a value outside its choices is rejected, not read as the
+# default (--scale mian would build the micro world, --split tst the dev set).
+exits_2 '--scale must be one of micro|main' "$CLI" gen --out "$WORK/bad_gen" \
+  --scale mian
+[[ ! -e "$WORK/bad_gen" ]] \
+  || { echo "FAIL: cli: a rejected gen command wrote data"; exit 1; }
+exits_2 '--split must be one of dev|test' "$CLI" eval --data "$WORK/data" \
+  --model "$WORK/ref.bin" --split tst
 [[ ! -f "$WORK/bad.bin" ]] \
   || { echo "FAIL: cli: a rejected train command saved a model"; exit 1; }
 

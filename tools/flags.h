@@ -7,6 +7,7 @@
 #include <cerrno>
 #include <cstdint>
 #include <cstdlib>
+#include <initializer_list>
 #include <map>
 #include <set>
 #include <string>
@@ -15,9 +16,9 @@ namespace bootleg::tools {
 
 /// Parses argv[first..argc). Accepts both `--flag value` and `--flag=value`;
 /// a flag not followed by a value is boolean ("1"); arguments without `--`
-/// are ignored. Remembers which keys were read and which integer values did
-/// not parse, so a tool can read every flag it knows and then reject the
-/// rest through FirstError() before doing any work.
+/// are ignored. Remembers which keys were read and which integer or choice
+/// values did not parse, so a tool can read every flag it knows and then
+/// reject the rest through FirstError() before doing any work.
 class Flags {
  public:
   Flags(int argc, char** argv, int first = 1) {
@@ -56,13 +57,31 @@ class Flags {
     }
     return value;
   }
+  /// The value of a flag that must be one of `choices` (fallback when
+  /// absent). Any other value is remembered for FirstError().
+  std::string GetChoice(const std::string& key, const std::string& fallback,
+                        std::initializer_list<const char*> choices) const {
+    auto it = Find(key);
+    if (it == values_.end()) return fallback;
+    std::string names;
+    for (const char* choice : choices) {
+      if (it->second == choice) return it->second;
+      names += (names.empty() ? "" : "|") + std::string(choice);
+    }
+    if (bad_value_.empty()) {
+      bad_value_ = "--" + key + " must be one of " + names + ", got '" +
+                   it->second + "'";
+    }
+    return fallback;
+  }
   double GetDouble(const std::string& key, double fallback) const {
     auto it = Find(key);
     return it == values_.end() ? fallback : std::atof(it->second.c_str());
   }
   bool Has(const std::string& key) const { return Find(key) != values_.end(); }
   /// The first command-line error ("" if none): a flag that no getter has
-  /// read, else an integer flag whose value is not a whole number.
+  /// read, else an integer flag whose value is not a whole number or a choice
+  /// flag whose value is not one of its choices.
   std::string FirstError() const {
     for (const auto& [key, value] : values_) {
       if (read_.count(key) == 0) return "unknown flag --" + key;

@@ -49,6 +49,9 @@ int main() {
       {"  1-D dropout (not 2-D)", "abl_1d", true, false, false},
   };
 
+  // Outlives every ResultSet below: records point into these sentences,
+  // and MultiHopErrorRate reads them.
+  const std::vector<data::Sentence> dev_test = harness::DevPlusTest(env);
   std::printf("\n=== Design-choice ablations (micro dataset) ===\n");
   std::printf("%-24s %8s %8s %8s %8s %14s\n", "Model", "all", "torso", "tail",
               "unseen", "2hop-slice err");
@@ -59,7 +62,7 @@ int main() {
     config.regularization.two_dimensional = arm.two_dimensional;
     auto model = harness::TrainBootleg(&env, {arm.name, config, train, 7});
     harness::BucketResult r =
-        harness::EvaluateBuckets(model.get(), env, harness::DevPlusTest(env));
+        harness::EvaluateBuckets(model.get(), env, dev_test);
     std::printf("%-24s %8.1f %8.1f %8.1f %8.1f %14.1f\n", arm.label,
                 r.all.f1(), r.torso.f1(), r.tail.f1(), r.unseen.f1(),
                 MultiHopErrorRate(env.world.kb, r.results));

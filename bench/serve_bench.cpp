@@ -10,8 +10,9 @@
 // transport; the emitted JSON then contains only net_* rows).
 //
 // Scenarios:
-//   single_request   pre-serving baseline: one autograd-tape Predict at a time
-//                    — exactly what a request cost before this subsystem
+//   single_request   one BootlegModel::Predict per request: the value forward
+//                    with feature rows computed from the live tables, no
+//                    engine, no batcher, no candidate cache
 //   engine_c1_b1     frozen engine, 1 client, batching off (max_batch=1)
 //   engine_c8_b1     8 clients, batching off — queueing without coalescing
 //   engine_c8_b8     8 clients, dynamic micro-batching (max_batch=8)
@@ -26,8 +27,9 @@
 // The headline ratio is micro-batched serving at concurrency 8 over the
 // single-request baseline. On a single-core host the forward is compute
 // bound and results must stay byte-identical to the serial evaluator, so
-// batching-on-vs-off contributes coalesced queueing overhead only; the bulk
-// of the win is the frozen no-tape engine. Both ratios are reported.
+// batching-on-vs-off contributes coalesced queueing overhead only; what is
+// left of the engine's edge over single_request is the prepared feature
+// table and the candidate cache. Both ratios are reported.
 #include <arpa/inet.h>
 #include <fcntl.h>
 #include <netinet/in.h>
@@ -509,8 +511,8 @@ int main(int argc, char** argv) {
   std::vector<ScenarioResult> results;
 
   if (!net_only) {
-    // Pre-serving baseline: the batch-experiment path (autograd tape, no
-    // frozen features, no batching) invoked per request.
+    // Baseline: Predict per request — the value forward over feature rows
+    // computed from the live tables, with no engine and no batcher.
     data::MentionExtractor extractor(&world.candidates);
     for (const std::string& t : texts) {  // warmup
       model.Predict(extractor.BuildExample(world.vocab, t));

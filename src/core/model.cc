@@ -395,22 +395,46 @@ Var BootlegModel::Loss(const data::SentenceExample& example, bool train,
   return loss;
 }
 
-std::vector<int64_t> BootlegModel::Predict(const data::SentenceExample& example) {
-  std::vector<int64_t> preds(example.mentions.size(), -1);
-  ForwardResult fwd = RunForward(example, /*train=*/false, &rng_);
-  if (!fwd.valid) return preds;
-  const Tensor& s = fwd.scores.value();
-  for (size_t mi = 0; mi < example.mentions.size(); ++mi) {
-    if (fwd.row_count[mi] == 0) continue;
-    int64_t best = 0;
-    for (int64_t k = 1; k < fwd.row_count[mi]; ++k) {
-      if (s.at(fwd.row_offset[mi] + k, 0) > s.at(fwd.row_offset[mi] + best, 0)) {
-        best = k;
-      }
-    }
-    preds[mi] = best;
+/// StoreView computing each static row on demand from the live tables.
+/// Predict gathers through it, so a Predict after any weight change (a
+/// training step, CompressEntityEmbeddings, a checkpoint load) reads the
+/// current values; PrepareFrozenInference materializes it into the frozen
+/// table. RowPtr stays nullptr, so PredictRows stages the rows through
+/// GatherRows into its scratch.
+class BootlegModel::LiveRowView : public store::StoreView {
+ public:
+  explicit LiveRowView(const BootlegModel* model) : model_(model) {
+    BOOTLEG_CHECK_MSG(model->entity_emb_ == nullptr ||
+                          model->entity_emb_->rows() == model->kb_->num_entities(),
+                      "live feature rows read the entity table, which "
+                      "ReleaseEntityTableForServing freed; serve through "
+                      "PredictBatch");
+    BOOTLEG_CHECK_MSG(
+        !model->config_.use_title_feature || !model->title_token_ids_.empty(),
+        "use_title_feature requires SetTitleTokenIds");
   }
-  return preds;
+
+  int64_t rows() const override { return model_->kb_->num_entities(); }
+  int64_t cols() const override { return model_->FrozenStaticCols(); }
+  void GatherRow(int64_t id, float* dst) const override {
+    const BootlegModel& m = *model_;
+    const float* slot =
+        m.config_.use_entity
+            ? m.entity_emb_->table().data() + id * m.config_.entity_dim
+            : nullptr;
+    const int64_t title = m.config_.use_title_feature
+                              ? m.title_token_ids_[static_cast<size_t>(id)]
+                              : 0;
+    m.ComputeFrozenRow(m.kb_->entity(id), slot, title, dst);
+  }
+
+ private:
+  const BootlegModel* model_;
+};
+
+std::vector<int64_t> BootlegModel::Predict(const data::SentenceExample& example) {
+  thread_local InferenceScratch scratch;
+  return PredictRows({&example}, LiveRowView(this), &scratch)[0];
 }
 
 int64_t BootlegModel::FrozenStaticCols() const {
@@ -420,6 +444,42 @@ int64_t BootlegModel::FrozenStaticCols() const {
   if (config_.use_kg) cols += config_.rel_dim;
   if (config_.use_title_feature) cols += title_dim_;
   return cols;
+}
+
+void BootlegModel::ComputeFrozenRow(const kb::Entity& entity,
+                                    const float* entity_slot,
+                                    int64_t title_token_id, float* dst) const {
+  std::vector<int64_t> ids;
+  if (config_.use_entity) {
+    for (int64_t j = 0; j < config_.entity_dim; ++j) dst[j] = entity_slot[j];
+    dst += config_.entity_dim;
+  }
+  if (config_.use_type) {
+    for (kb::TypeId t : entity.types) {
+      if (static_cast<int64_t>(ids.size()) >= config_.max_types_per_entity) break;
+      ids.push_back(t + 1);  // shift: row 0 = "no type"
+    }
+    if (ids.empty()) ids.push_back(0);
+    Tensor pooled = type_pool_->PoolValue(type_emb_->LookupValue(ids));
+    for (int64_t j = 0; j < config_.type_dim; ++j) dst[j] = pooled.at(0, j);
+    dst += config_.type_dim;
+  }
+  if (config_.use_kg) {
+    ids.clear();
+    for (kb::RelationId rel : entity.relations) {
+      if (static_cast<int64_t>(ids.size()) >= config_.max_relations_per_entity) break;
+      ids.push_back(rel + 1);  // shift: row 0 = "no relation"
+    }
+    if (ids.empty()) ids.push_back(0);
+    Tensor pooled = rel_pool_->PoolValue(rel_emb_->LookupValue(ids));
+    for (int64_t j = 0; j < config_.rel_dim; ++j) dst[j] = pooled.at(0, j);
+    dst += config_.rel_dim;
+  }
+  if (config_.use_title_feature) {
+    Tensor title = title_proj_->ForwardValue(
+        encoder_->token_embedding()->LookupValue({title_token_id}));
+    for (int64_t j = 0; j < title_dim_; ++j) dst[j] = title.at(0, j);
+  }
 }
 
 util::Status BootlegModel::SynthesizeFrozenRow(const kb::Entity& entity,
@@ -433,106 +493,39 @@ util::Status BootlegModel::SynthesizeFrozenRow(const kb::Entity& entity,
     return util::Status::InvalidArgument(
         "SynthesizeFrozenRow: use_entity requires an entity_slot");
   }
-  std::vector<int64_t> ids;
-  if (config_.use_entity) {
-    for (int64_t j = 0; j < config_.entity_dim; ++j) dst[j] = entity_slot[j];
-    dst += config_.entity_dim;
-  }
   if (config_.use_type) {
     for (kb::TypeId t : entity.types) {
       if (t < 0 || t >= kb_->num_types()) {
         return util::Status::InvalidArgument(
             "SynthesizeFrozenRow: type id out of range");
       }
-      if (static_cast<int64_t>(ids.size()) >= config_.max_types_per_entity) break;
-      ids.push_back(t + 1);  // shift: row 0 = "no type"
     }
-    if (ids.empty()) ids.push_back(0);
-    Tensor pooled = type_pool_->PoolValue(type_emb_->LookupValue(ids));
-    for (int64_t j = 0; j < config_.type_dim; ++j) dst[j] = pooled.at(0, j);
-    dst += config_.type_dim;
   }
   if (config_.use_kg) {
-    ids.clear();
     for (kb::RelationId rel : entity.relations) {
       if (rel < 0 || rel >= kb_->num_relations()) {
         return util::Status::InvalidArgument(
             "SynthesizeFrozenRow: relation id out of range");
       }
-      if (static_cast<int64_t>(ids.size()) >= config_.max_relations_per_entity) break;
-      ids.push_back(rel + 1);  // shift: row 0 = "no relation"
     }
-    if (ids.empty()) ids.push_back(0);
-    Tensor pooled = rel_pool_->PoolValue(rel_emb_->LookupValue(ids));
-    for (int64_t j = 0; j < config_.rel_dim; ++j) dst[j] = pooled.at(0, j);
-    dst += config_.rel_dim;
   }
-  if (config_.use_title_feature) {
-    if (title_token_id < 0 ||
-        title_token_id >= encoder_->token_embedding()->rows()) {
-      return util::Status::InvalidArgument(
-          "SynthesizeFrozenRow: title token id out of range");
-    }
-    Tensor title = title_proj_->ForwardValue(
-        encoder_->token_embedding()->LookupValue({title_token_id}));
-    for (int64_t j = 0; j < title_dim_; ++j) dst[j] = title.at(0, j);
+  if (config_.use_title_feature &&
+      (title_token_id < 0 ||
+       title_token_id >= encoder_->token_embedding()->rows())) {
+    return util::Status::InvalidArgument(
+        "SynthesizeFrozenRow: title token id out of range");
   }
+  ComputeFrozenRow(entity, entity_slot, title_token_id, dst);
   return util::Status::OK();
 }
 
 void BootlegModel::PrepareFrozenInference() {
-  int64_t pre = 0;
-  if (config_.use_entity) pre += config_.entity_dim;
-  if (config_.use_type) pre += config_.type_dim;
-  int64_t post = 0;
-  if (config_.use_kg) post += config_.rel_dim;
-  if (config_.use_title_feature) {
-    BOOTLEG_CHECK_MSG(!title_token_ids_.empty(),
-                      "use_title_feature requires SetTitleTokenIds");
-    post += title_dim_;
-  }
-  frozen_pre_cols_ = pre;
-  const int64_t n = kb_->num_entities();
-  const int64_t cols = pre + post;
+  const LiveRowView live(this);
+  const int64_t n = live.rows();
+  const int64_t cols = live.cols();
   frozen_static_ = Tensor({n, cols});
-
-  std::vector<int64_t> ids;
   for (kb::EntityId e = 0; e < n; ++e) {
-    float* dst = frozen_static_.data() + e * cols;
-    const kb::Entity& ent = kb_->entity(e);
-    if (config_.use_entity) {
-      const float* src = entity_emb_->table().data() + e * config_.entity_dim;
-      for (int64_t j = 0; j < config_.entity_dim; ++j) dst[j] = src[j];
-      dst += config_.entity_dim;
-    }
-    if (config_.use_type) {
-      ids.clear();
-      for (kb::TypeId t : ent.types) {
-        if (static_cast<int64_t>(ids.size()) >= config_.max_types_per_entity) break;
-        ids.push_back(t + 1);  // shift: row 0 = "no type"
-      }
-      if (ids.empty()) ids.push_back(0);
-      Tensor pooled = type_pool_->PoolValue(type_emb_->LookupValue(ids));
-      for (int64_t j = 0; j < config_.type_dim; ++j) dst[j] = pooled.at(0, j);
-      dst += config_.type_dim;
-    }
-    if (config_.use_kg) {
-      ids.clear();
-      for (kb::RelationId rel : ent.relations) {
-        if (static_cast<int64_t>(ids.size()) >= config_.max_relations_per_entity) break;
-        ids.push_back(rel + 1);  // shift: row 0 = "no relation"
-      }
-      if (ids.empty()) ids.push_back(0);
-      Tensor pooled = rel_pool_->PoolValue(rel_emb_->LookupValue(ids));
-      for (int64_t j = 0; j < config_.rel_dim; ++j) dst[j] = pooled.at(0, j);
-      dst += config_.rel_dim;
-    }
-    if (config_.use_title_feature) {
-      Tensor title = title_proj_->ForwardValue(
-          encoder_->token_embedding()->LookupValue(
-              {title_token_ids_[static_cast<size_t>(e)]}));
-      for (int64_t j = 0; j < title_dim_; ++j) dst[j] = title.at(0, j);
-    }
+    live.GatherRow(e, frozen_static_.data() + e * cols);
   }
   // PredictBatch gathers through a view either way; this one borrows the
   // table's buffer and is replaced whenever the table is.
@@ -559,10 +552,6 @@ util::Status BootlegModel::UseFrozenStore(
         " columns but this config needs " + std::to_string(want_cols) +
         " (was it exported under a different ablation?)");
   }
-  int64_t pre = 0;
-  if (config_.use_entity) pre += config_.entity_dim;
-  if (config_.use_type) pre += config_.type_dim;
-  frozen_pre_cols_ = pre;
   frozen_static_ = Tensor();  // the view replaces the heap table
   frozen_view_ = std::move(view);
   frozen_from_store_ = true;
@@ -581,6 +570,12 @@ std::vector<std::vector<int64_t>> BootlegModel::PredictBatch(
     InferenceScratch* scratch) const {
   BOOTLEG_CHECK_MSG(frozen_ready_,
                     "PrepareFrozenInference() must run before PredictBatch");
+  return PredictRows(batch, *frozen_view_, scratch);
+}
+
+std::vector<std::vector<int64_t>> BootlegModel::PredictRows(
+    const std::vector<const data::SentenceExample*>& batch,
+    const store::StoreView& view, InferenceScratch* scratch) const {
   std::vector<std::vector<int64_t>> preds(batch.size());
   InferenceScratch& s = *scratch;
   s.sentences.clear();
@@ -686,14 +681,17 @@ std::vector<std::vector<int64_t>> BootlegModel::PredictBatch(
     }
   }
 
-  // --- Candidate feature assembly from the frozen per-entity table. ----------
+  // --- Candidate feature assembly from the per-entity static rows. -----------
   Tensor e_all;
   {
     OBS_SPAN("infer.features");
     Tensor x({total_rows, input_dim_});
-    const store::StoreView& view = *frozen_view_;
+    // Static columns [entity | type_pool] go before the sentence-dependent
+    // coarse-type slots, [rel_pool | title] after them.
+    const int64_t pre_cols = (config_.use_entity ? config_.entity_dim : 0) +
+                             (config_.use_type ? config_.type_dim : 0);
     const int64_t static_cols = view.cols();
-    const int64_t post_cols = static_cols - frozen_pre_cols_;
+    const int64_t post_cols = static_cols - pre_cols;
     const int64_t coarse = use_tpred ? config_.coarse_dim : 0;
     // One gather for every deployment (the heap table is a HeapView). Float
     // views serve zero-copy row pointers (with a small prefetch lookahead so
@@ -733,13 +731,13 @@ std::vector<std::vector<int64_t>> BootlegModel::PredictBatch(
         src = gathered + r * static_cols;
       }
       float* dst = x.data() + r * input_dim_;
-      for (int64_t j = 0; j < frozen_pre_cols_; ++j) dst[j] = src[j];
+      for (int64_t j = 0; j < pre_cols; ++j) dst[j] = src[j];
       if (use_tpred) {
         const float* tp = tpred_all.data() + r * coarse;
-        for (int64_t j = 0; j < coarse; ++j) dst[frozen_pre_cols_ + j] = tp[j];
+        for (int64_t j = 0; j < coarse; ++j) dst[pre_cols + j] = tp[j];
       }
       for (int64_t j = 0; j < post_cols; ++j) {
-        dst[frozen_pre_cols_ + coarse + j] = src[frozen_pre_cols_ + j];
+        dst[pre_cols + coarse + j] = src[pre_cols + j];
       }
     }
     gather_hist->Record(std::chrono::duration_cast<std::chrono::microseconds>(
@@ -877,7 +875,7 @@ std::vector<std::vector<int64_t>> BootlegModel::PredictBatch(
     scores = tensor::MatMul(e_all, score_vec_.value());
   }
 
-  // --- Per-mention argmax, matching Predict's strict-> tie handling. ---------
+  // --- Per-mention argmax: strict >, so the first of tied candidates wins. ---
   for (const InferenceScratch::SentenceInfo& info : s.sentences) {
     std::vector<int64_t>& out = preds[static_cast<size_t>(info.ex_index)];
     for (int64_t mi = 0; mi < info.mentions; ++mi) {

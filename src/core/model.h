@@ -59,10 +59,18 @@ class BootlegModel : public eval::NedScorer {
                    util::Rng* rng = nullptr);
 
   /// Predicted candidate index per mention (-1 for empty candidate lists).
+  /// Runs PredictBatch's tape-free forward on a batch of one, with each
+  /// candidate's static features (entity row, pooled types and relations,
+  /// title projection) computed on demand from the live tables: never
+  /// stale after a weight change, no PrepareFrozenInference needed. Draws
+  /// no RNG value and mutates no model state; each thread keeps its own
+  /// scratch, so concurrent calls are safe. Must not run after
+  /// ReleaseEntityTableForServing (checked).
   std::vector<int64_t> Predict(const data::SentenceExample& example) override;
 
-  /// Reusable buffers for PredictBatch, one per serving worker. Keeping them
-  /// across batches avoids per-request metadata allocation on the hot path.
+  /// Reusable buffers for the value forward: one per serving worker for
+  /// PredictBatch, one per thread inside Predict. Keeping them across calls
+  /// avoids per-request metadata allocation on the hot path.
   struct InferenceScratch {
     struct SentenceInfo {
       int64_t ex_index = 0;        // index into the PredictBatch input
@@ -95,9 +103,10 @@ class BootlegModel : public eval::NedScorer {
 
   /// Precomputes every sentence-independent per-entity input feature (entity
   /// embedding row, pooled type embedding, pooled relation embedding,
-  /// projected title) into one frozen table read by PredictBatch. Call after
-  /// the weights are in place; call again after any weight mutation (e.g. a
-  /// serving hot-reload), since the table snapshots current values.
+  /// projected title) into one frozen table read by PredictBatch (Predict
+  /// never reads it). Call after the weights are in place; call again after
+  /// any weight mutation (e.g. a serving hot-reload), since the table
+  /// snapshots current values.
   void PrepareFrozenInference();
   bool frozen_ready() const { return frozen_ready_; }
 
@@ -134,7 +143,6 @@ class BootlegModel : public eval::NedScorer {
 
   /// The in-heap frozen table (empty when serving from a store view).
   const tensor::Tensor& frozen_static() const { return frozen_static_; }
-  int64_t frozen_pre_cols() const { return frozen_pre_cols_; }
 
   /// Frees the entity embedding table after UseFrozenStore: its rows are
   /// baked into the store, so keeping them resident would double the memory
@@ -143,12 +151,13 @@ class BootlegModel : public eval::NedScorer {
   void ReleaseEntityTableForServing();
 
   /// Forward-only batched inference over several sentences at once (the
-  /// serving path). Requires PrepareFrozenInference(). Returns Predict()'s
-  /// output for each example and is bit-identical to per-sentence Predict at
-  /// any batch composition: every cross-sentence stage is row-wise, while
-  /// attention, KG mixing, and scoring run per sentence. Builds no autograd
-  /// tape, never touches the model RNG, and is const — safe to call
-  /// concurrently with a distinct scratch per thread.
+  /// serving path). Requires PrepareFrozenInference() or UseFrozenStore(),
+  /// and reads static features from that snapshot, so it equals Predict()
+  /// on every example as long as the weights have not changed since. The
+  /// result is bit-identical at any batch composition: every cross-sentence
+  /// stage is row-wise, while attention, KG mixing, and scoring run per
+  /// sentence. Builds no autograd tape, never touches the model RNG, and is
+  /// const — safe to call concurrently with a distinct scratch per thread.
   std::vector<std::vector<int64_t>> PredictBatch(
       const std::vector<const data::SentenceExample*>& batch,
       InferenceScratch* scratch) const;
@@ -212,8 +221,26 @@ class BootlegModel : public eval::NedScorer {
     std::vector<int64_t> type_targets;  // gold coarse types for those rows
   };
 
+  /// The autograd forward behind Loss and ContextualEmbeddings.
   ForwardResult RunForward(const data::SentenceExample& example, bool train,
                            util::Rng* rng);
+
+  /// StoreView over the rows ComputeFrozenRow derives from the live tables.
+  class LiveRowView;
+
+  /// Writes one entity's static-feature row (FrozenStaticCols() floats,
+  /// [entity | type_pool | rel_pool | title]) from the current tables:
+  /// `entity_slot` is its entity-embedding row (read only with use_entity),
+  /// `title_token_id` its title token (read only with use_title_feature).
+  /// No validation; callers pass in-range ids.
+  void ComputeFrozenRow(const kb::Entity& entity, const float* entity_slot,
+                        int64_t title_token_id, float* dst) const;
+
+  /// The tape-free forward of PredictBatch and Predict, gathering each
+  /// candidate's static row from `view`.
+  std::vector<std::vector<int64_t>> PredictRows(
+      const std::vector<const data::SentenceExample*>& batch,
+      const store::StoreView& view, InferenceScratch* scratch) const;
 
   /// Builds one per-sentence KG adjacency over candidate rows.
   tensor::Tensor BuildAdjacency(const data::SentenceExample& example,
@@ -258,10 +285,9 @@ class BootlegModel : public eval::NedScorer {
   bool compressed_ = false;
 
   // Frozen per-entity features for the serving path (PrepareFrozenInference).
-  // Column layout: [entity | type_pool] then [rel_pool | title] — the
-  // sentence-dependent coarse-type prediction slots between the two halves.
+  // Column layout: [entity | type_pool | rel_pool | title]; PredictRows puts
+  // the sentence-dependent coarse-type slots after type_pool.
   tensor::Tensor frozen_static_;
-  int64_t frozen_pre_cols_ = 0;
   bool frozen_ready_ = false;
   // PredictBatch gathers frozen rows through this view: a HeapView over
   // frozen_static_ (PrepareFrozenInference) or an external store view

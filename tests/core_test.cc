@@ -9,6 +9,7 @@
 #include "data/generator.h"
 #include "data/weak_label.h"
 #include "data/world.h"
+#include "util/thread_pool.h"
 
 namespace bootleg::core {
 namespace {
@@ -90,6 +91,40 @@ class ModelTest : public ::testing::Test {
     model_config_.encoder.hidden = 32;
     model_config_.encoder.ff_inner = 64;
     model_config_.encoder.max_len = 24;
+    for (const data::Sentence& s : corpus_.train) {
+      for (size_t i = 0; i < s.mentions.size(); ++i) {
+        for (size_t j = i + 1; j < s.mentions.size(); ++j) {
+          cooc_.AddPair(s.mentions[i].gold, s.mentions[j].gold);
+        }
+      }
+    }
+    for (kb::EntityId e = 0; e < world_.kb.num_entities(); ++e) {
+      title_ids_.push_back(world_.vocab.Id(world_.kb.entity(e).title));
+    }
+  }
+
+  /// A model of `config` with every input the config reads set (counts, and
+  /// co-occurrence stats and title ids for the benchmark extras), trained
+  /// `steps` optimizer steps (none for 0).
+  std::unique_ptr<BootlegModel> MakeModel(const BootlegConfig& config,
+                                          int64_t steps) {
+    auto model = std::make_unique<BootlegModel>(&world_.kb, world_.vocab.size(),
+                                                config, 1);
+    model->SetEntityCounts(&counts_);
+    if (config.use_cooccurrence_kg) model->SetCooccurrence(&cooc_);
+    if (config.use_title_feature) model->SetTitleTokenIds(title_ids_);
+    if (steps > 0) TrainSteps(model.get(), steps, /*seed=*/99);
+    return model;
+  }
+
+  void TrainSteps(BootlegModel* model, int64_t steps, uint64_t seed) {
+    Trainable<BootlegModel> trainable(model);
+    TrainOptions options;
+    options.epochs = 1;
+    options.max_steps = steps;
+    options.num_threads = 1;
+    options.seed = seed;
+    Train(&trainable, examples_, options);
   }
 
   data::SentenceExample FirstTrainable() const {
@@ -108,7 +143,31 @@ class ModelTest : public ::testing::Test {
   std::unique_ptr<data::ExampleBuilder> builder_;
   std::vector<data::SentenceExample> examples_;
   BootlegConfig model_config_;
+  kb::CooccurrenceStats cooc_{2};
+  std::vector<int64_t> title_ids_;
 };
+
+/// The entity each mention's predicted candidate index names (kInvalidId
+/// for -1).
+std::vector<kb::EntityId> Chosen(const data::SentenceExample& ex,
+                                 const std::vector<int64_t>& preds) {
+  std::vector<kb::EntityId> out;
+  for (size_t m = 0; m < preds.size(); ++m) {
+    out.push_back(preds[m] < 0 ? kb::kInvalidId
+                               : ex.mentions[m].candidates[static_cast<size_t>(
+                                     preds[m])]);
+  }
+  return out;
+}
+
+/// The tape forward's choice per mention: ContextualEmbeddings runs the
+/// autograd forward Loss trains through and keeps its own strict-> argmax.
+std::vector<kb::EntityId> TapeChoices(BootlegModel* model,
+                                      const data::SentenceExample& ex) {
+  std::vector<kb::EntityId> out;
+  for (const auto& cm : model->ContextualEmbeddings(ex)) out.push_back(cm.entity);
+  return out;
+}
 
 TEST_F(ModelTest, PredictShapes) {
   BootlegModel model(&world_.kb, world_.vocab.size(), model_config_, 1);
@@ -190,23 +249,8 @@ TEST_F(ModelTest, BenchmarkExtrasRunForward) {
   BootlegConfig config = model_config_;
   config.use_cooccurrence_kg = true;
   config.use_title_feature = true;
-  kb::CooccurrenceStats cooc(2);
-  for (const data::Sentence& s : corpus_.train) {
-    for (size_t i = 0; i < s.mentions.size(); ++i) {
-      for (size_t j = i + 1; j < s.mentions.size(); ++j) {
-        cooc.AddPair(s.mentions[i].gold, s.mentions[j].gold);
-      }
-    }
-  }
-  BootlegModel model(&world_.kb, world_.vocab.size(), config, 1);
-  model.SetEntityCounts(&counts_);
-  model.SetCooccurrence(&cooc);
-  std::vector<int64_t> titles;
-  for (kb::EntityId e = 0; e < world_.kb.num_entities(); ++e) {
-    titles.push_back(world_.vocab.Id(world_.kb.entity(e).title));
-  }
-  model.SetTitleTokenIds(std::move(titles));
-  tensor::Var loss = model.Loss(FirstTrainable(), true);
+  std::unique_ptr<BootlegModel> model = MakeModel(config, /*steps=*/0);
+  tensor::Var loss = model->Loss(FirstTrainable(), true);
   ASSERT_TRUE(loss.defined());
   EXPECT_TRUE(std::isfinite(loss.value().at(0)));
 }
@@ -362,6 +406,110 @@ TEST_F(ModelTest, CheckpointRoundTripPreservesPredictions) {
     EXPECT_EQ(a.Predict(examples_[i]), b.Predict(examples_[i]));
   }
   std::filesystem::remove(path);
+}
+
+/// Predict runs the tape-free value forward over live feature rows; Loss and
+/// ContextualEmbeddings run the autograd forward. In every model config the
+/// two must pick the same candidate for every mention, at 1 and 4 pool
+/// threads.
+class ForwardAgreementTest : public ModelTest,
+                             public ::testing::WithParamInterface<std::string> {
+ protected:
+  BootlegConfig Config() const {
+    BootlegConfig config = model_config_;
+    const std::string& name = GetParam();
+    if (name == "ent_only") return BootlegConfig::EntOnly(config);
+    if (name == "type_only") return BootlegConfig::TypeOnly(config);
+    if (name == "kg_only") return BootlegConfig::KgOnly(config);
+    if (name == "cooc_title") {
+      config.use_cooccurrence_kg = true;
+      config.use_title_feature = true;
+    }
+    if (name == "no_ensemble") config.ensemble_scoring = false;
+    if (name == "two_hop") config.use_two_hop_kg = true;
+    if (name == "one_dim_dropout") config.regularization.two_dimensional = false;
+    return config;
+  }
+};
+
+TEST_P(ForwardAgreementTest, PredictPicksTheTapeForwardsCandidate) {
+  util::ThreadPool::ResetGlobal(1);
+  // Trained a few steps so scores are not tied at their shared init.
+  std::unique_ptr<BootlegModel> model = MakeModel(Config(), /*steps=*/6);
+  std::vector<std::vector<kb::EntityId>> tape;
+  int64_t not_first = 0;  // mentions whose choice is not candidate 0
+  for (const data::SentenceExample& ex : examples_) {
+    tape.push_back(TapeChoices(model.get(), ex));
+    for (size_t m = 0; m < ex.mentions.size(); ++m) {
+      if (!ex.mentions[m].candidates.empty() &&
+          tape.back()[m] != ex.mentions[m].candidates[0]) {
+        ++not_first;
+      }
+    }
+  }
+  EXPECT_GT(not_first, 0) << "every choice is candidate 0: nothing compared";
+  for (const int threads : {1, 4}) {
+    util::ThreadPool::ResetGlobal(threads);
+    int64_t mismatches = 0;
+    for (size_t i = 0; i < examples_.size(); ++i) {
+      if (Chosen(examples_[i], model->Predict(examples_[i])) != tape[i] &&
+          ++mismatches <= 3) {
+        ADD_FAILURE() << "threads=" << threads << " example=" << i;
+      }
+    }
+    EXPECT_EQ(mismatches, 0) << "threads=" << threads;
+  }
+  util::ThreadPool::ResetGlobal(1);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Configs, ForwardAgreementTest,
+    ::testing::Values("default", "ent_only", "type_only", "kg_only",
+                      "cooc_title", "no_ensemble", "two_hop",
+                      "one_dim_dropout"),
+    [](const ::testing::TestParamInfo<std::string>& info) { return info.param; });
+
+/// Predict reads the live tables, never the frozen snapshot PredictBatch
+/// serves: after the weights change behind a prepared snapshot, Predict still
+/// equals the tape forward while PredictBatch over the stale table does not.
+TEST_F(ModelTest, PredictReadsLiveWeightsNotTheFrozenSnapshot) {
+  std::unique_ptr<BootlegModel> model = MakeModel(model_config_, /*steps=*/6);
+  model->PrepareFrozenInference();
+  TrainSteps(model.get(), /*steps=*/4, /*seed=*/7);
+  model->CompressEntityEmbeddings(0.05, counts_);
+  BootlegModel::InferenceScratch scratch;
+  int64_t mismatches = 0, stale_differs = 0;
+  for (size_t i = 0; i < examples_.size(); ++i) {
+    const data::SentenceExample& ex = examples_[i];
+    const std::vector<kb::EntityId> tape = TapeChoices(model.get(), ex);
+    if (Chosen(ex, model->Predict(ex)) != tape && ++mismatches <= 3) {
+      ADD_FAILURE() << "Predict differs from the tape forward on example " << i;
+    }
+    if (Chosen(ex, model->PredictBatch({&ex}, &scratch)[0]) != tape) {
+      ++stale_differs;
+    }
+  }
+  EXPECT_EQ(mismatches, 0);
+  // Only a snapshot stale enough to change a prediction tells the two apart.
+  EXPECT_GT(stale_differs, 0);
+}
+
+TEST_F(ModelTest, PredictRefusesAReleasedEntityTable) {
+  ::testing::GTEST_FLAG(death_test_style) = "threadsafe";
+  BootlegModel model(&world_.kb, world_.vocab.size(), model_config_, 1);
+  model.PrepareFrozenInference();
+  // A store-backed deployment: the view replaces the heap table, whose rows
+  // this copy keeps alive.
+  const tensor::Tensor table = model.frozen_static();
+  ASSERT_TRUE(model
+                  .UseFrozenStore(std::make_shared<store::HeapView>(
+                      table.data(), table.size(0), table.size(1)))
+                  .ok());
+  model.ReleaseEntityTableForServing();
+  const data::SentenceExample ex = FirstTrainable();
+  BootlegModel::InferenceScratch scratch;
+  EXPECT_EQ(model.PredictBatch({&ex}, &scratch)[0].size(), ex.mentions.size());
+  EXPECT_DEATH((void)model.Predict(ex), "ReleaseEntityTableForServing");
 }
 
 TEST_F(ModelTest, TrainerSkipsUntrainableSentences) {

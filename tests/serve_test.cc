@@ -138,14 +138,30 @@ TEST(ServeEquivalenceTest, PredictBatchMatchesSerialPredictAtAnyBatchSize) {
       builder.BuildAll(sw.corpus.dev, options);
   ASSERT_GT(examples.size(), 8u);
 
-  // Serial reference: the exact per-sentence path eval::Evaluator drives.
+  // Serial reference: the exact per-sentence path eval::Evaluator drives,
+  // Predict — the same value forward as the engine, but over feature rows
+  // computed from the live tables instead of a prepared table. Its tape
+  // column: on every example it must name the candidate the autograd
+  // forward (ContextualEmbeddings) picks.
   core::BootlegModel ref(&sw.world.kb, sw.world.vocab.size(), ServingConfig(),
                          /*seed=*/123);
   ASSERT_TRUE(ref.store().Load(sw.model_path).ok());
   util::ThreadPool::ResetGlobal(1);
   std::vector<std::vector<int64_t>> serial;
   serial.reserve(examples.size());
-  for (const data::SentenceExample& ex : examples) serial.push_back(ref.Predict(ex));
+  for (size_t i = 0; i < examples.size(); ++i) {
+    const data::SentenceExample& ex = examples[i];
+    serial.push_back(ref.Predict(ex));
+    const auto tape = ref.ContextualEmbeddings(ex);
+    ASSERT_EQ(tape.size(), ex.mentions.size());
+    for (size_t m = 0; m < ex.mentions.size(); ++m) {
+      const int64_t k = serial.back()[m];
+      EXPECT_EQ(k < 0 ? kb::kInvalidId
+                      : ex.mentions[m].candidates[static_cast<size_t>(k)],
+                tape[m].entity)
+          << "example=" << i << " mention=" << m;
+    }
+  }
 
   auto engine = MakeSnapshotEngine();
   core::BootlegModel::InferenceScratch scratch;

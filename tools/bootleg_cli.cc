@@ -281,8 +281,21 @@ int CmdEval(const Flags& flags) {
   const bool test_split =
       flags.GetChoice("split", "dev", {"dev", "test"}) == "test";
   const bool char_fallback = flags.Has("char_fallback");
-  const std::string noise_rates = flags.Get("noise_rates");
-  const std::string overshadow_prior = flags.Get("overshadow_prior", "0.8");
+  // Robustness slices: --noise_rates 0.05,0.1 adds one perturbed evaluation
+  // per rate; the overshadowed slice and prior-follow diagnostic are always
+  // reported (they reuse the clean run's records).
+  const std::vector<double> rates = flags.GetDoubleList("noise_rates");
+  for (double rate : rates) {
+    if (!(rate >= 0.0 && rate <= 1.0)) {
+      flags.Reject("--noise_rates values must be in [0, 1], got " +
+                   util::StrFormat("%g", rate));
+    }
+  }
+  const double overshadow_prior = flags.GetDouble("overshadow_prior", 0.8);
+  if (!(overshadow_prior > 0.0 && overshadow_prior <= 1.0)) {
+    flags.Reject("--overshadow_prior must be in (0, 1], got " +
+                 util::StrFormat("%g", overshadow_prior));
+  }
   const auto noise_seed = static_cast<uint64_t>(flags.GetInt("noise_seed", 1234));
   const int threads = static_cast<int>(flags.GetInt("threads", 0));
   if (BadFlags(flags)) return 2;
@@ -302,16 +315,8 @@ int CmdEval(const Flags& flags) {
   data::ExampleOptions ex_options;
   ex_options.char_fallback = char_fallback;
 
-  // Robustness slices: --noise_rates 0.05,0.1 adds one perturbed evaluation
-  // per rate; the overshadowed slice and prior-follow diagnostic are always
-  // reported (they reuse the clean run's records).
-  std::vector<double> rates;
-  for (const std::string& r : util::Split(noise_rates, ",")) {
-    if (!r.empty()) rates.push_back(std::atof(r.c_str()));
-  }
   robust::OvershadowOptions ov_options;
-  ov_options.dominance =
-      static_cast<float>(std::atof(overshadow_prior.c_str()));
+  ov_options.dominance = static_cast<float>(overshadow_prior);
   const robust::OvershadowedIndex overshadowed =
       robust::OvershadowedIndex::Build(ds.candidates, ov_options);
   const robust::RobustReport report = robust::RunRobustEvaluation(

@@ -4,13 +4,15 @@
 #
 #   1. Release build + complete ctest suite (tier-1 gate).
 #   2. ASan build: corruption fuzzing, checkpoint/resume, io, parallel,
-#      serve, the kernel path; UBSan build: serve + net (request parsing,
-#      batching and framing of untrusted bytes), io fuzzing, the index and
-#      raw-text robustness, and the tensor kernels (the probe still runs the
-#      SIMD tiles there, on its shapes, before rejecting them at -O1) and
-#      the kernel path, whose vector tanh runs at -O1 too.
+#      serve, the kernel path, and the model (core_test: the value forward
+#      against the tape forward in every config); UBSan build: serve + net
+#      (request parsing, batching and framing of untrusted bytes), io
+#      fuzzing, the index and raw-text robustness, and the tensor kernels
+#      (the probe still runs the SIMD tiles there, on its shapes, before
+#      rejecting them at -O1), the kernel path, whose vector tanh runs at
+#      -O1 too, and the model.
 #   3. TSan build: checkpointed data-parallel training + parallel + serve +
-#      the kernel path.
+#      the kernel path + the model.
 #   4. CLI crash-recovery drill, at 1 and at 2 threads: train with
 #      checkpointing, kill the run mid-checkpoint-write via fault injection
 #      (leaving a torn temp file), corrupt the newest checkpoint, resume, and
@@ -23,7 +25,9 @@
 #      --backend) and a non-integer integer flag must exit 2; so must
 #      `bootleg_cli train` with a non-integer --epochs, an unknown
 #      --ablation, a misspelled flag, or --resume without --checkpoint_dir,
-#      and `gen --scale` or `eval --split` with a value outside its choices.
+#      `gen --scale` or `eval --split` with a value outside its choices, and
+#      `eval --noise_rates` or `--overshadow_prior` with a value that is not
+#      one finite number in its range.
 #   6. Observability self-check: metrics/trace unit tests, the stats op must
 #      export the metrics registry (queue-wait histogram included) and
 #      per-stage spans covering a request end to end, and `train --trace_out`
@@ -83,10 +87,10 @@ if [[ "$SKIP_SAN" == "0" ]]; then
   cmake --build build-asan -j"$JOBS" \
     --target io_fuzz_test checkpoint_test util_test robustness_test \
              parallel_test serve_test metrics_test store_test \
-             backend_test net_test index_test robust_test >/dev/null
+             backend_test net_test index_test robust_test core_test >/dev/null
   for t in io_fuzz_test checkpoint_test util_test robustness_test \
            parallel_test serve_test metrics_test store_test backend_test \
-           net_test index_test robust_test; do
+           net_test index_test robust_test core_test; do
     echo "  asan: $t"
     ./build-asan/tests/"$t" >/dev/null
   done
@@ -95,9 +99,9 @@ if [[ "$SKIP_SAN" == "0" ]]; then
   cmake -B build-ubsan -S . -DBOOTLEG_SANITIZE=undefined >/dev/null
   cmake --build build-ubsan -j"$JOBS" \
     --target serve_test net_test io_fuzz_test robust_test index_test \
-             parallel_test tensor_test backend_test >/dev/null
+             parallel_test tensor_test backend_test core_test >/dev/null
   for t in serve_test net_test io_fuzz_test robust_test index_test \
-           parallel_test tensor_test backend_test; do
+           parallel_test tensor_test backend_test core_test; do
     echo "  ubsan: $t"
     UBSAN_OPTIONS=print_stacktrace=1 ./build-ubsan/tests/"$t" >/dev/null
   done
@@ -106,9 +110,10 @@ if [[ "$SKIP_SAN" == "0" ]]; then
   cmake -B build-tsan -S . -DBOOTLEG_SANITIZE=thread >/dev/null
   cmake --build build-tsan -j"$JOBS" \
     --target checkpoint_test parallel_test serve_test metrics_test \
-             store_test backend_test net_test index_test robust_test >/dev/null
+             store_test backend_test net_test index_test robust_test \
+             core_test >/dev/null
   for t in checkpoint_test parallel_test serve_test metrics_test store_test \
-           backend_test net_test index_test robust_test; do
+           backend_test net_test index_test robust_test core_test; do
     echo "  tsan: $t"
     ./build-tsan/tests/"$t" >/dev/null
   done
@@ -241,6 +246,14 @@ exits_2 '--scale must be one of micro|main' "$CLI" gen --out "$WORK/bad_gen" \
   || { echo "FAIL: cli: a rejected gen command wrote data"; exit 1; }
 exits_2 '--split must be one of dev|test' "$CLI" eval --data "$WORK/data" \
   --model "$WORK/ref.bin" --split tst
+# A number flag must be one finite number in its range: atof read 'O.2' as a
+# noisy@0.00 slice and '0,8' as 0, and 1.5 gave an empty overshadowed slice.
+exits_2 "--noise_rates needs finite numbers, got 'O.2'" "$CLI" eval \
+  --data "$WORK/data" --model "$WORK/ref.bin" --noise_rates 0.1,O.2
+exits_2 "--overshadow_prior needs a finite number, got '0,8'" "$CLI" eval \
+  --data "$WORK/data" --model "$WORK/ref.bin" --overshadow_prior 0,8
+exits_2 '--overshadow_prior must be in (0, 1], got 1.5' "$CLI" eval \
+  --data "$WORK/data" --model "$WORK/ref.bin" --overshadow_prior 1.5
 [[ ! -f "$WORK/bad.bin" ]] \
   || { echo "FAIL: cli: a rejected train command saved a model"; exit 1; }
 

@@ -5,20 +5,23 @@
 // overload_drill.
 
 #include <cerrno>
+#include <cmath>
 #include <cstdint>
 #include <cstdlib>
 #include <initializer_list>
 #include <map>
 #include <set>
+#include <sstream>
 #include <string>
+#include <vector>
 
 namespace bootleg::tools {
 
 /// Parses argv[first..argc). Accepts both `--flag value` and `--flag=value`;
 /// a flag not followed by a value is boolean ("1"); arguments without `--`
-/// are ignored. Remembers which keys were read and which integer or choice
-/// values did not parse, so a tool can read every flag it knows and then
-/// reject the rest through FirstError() before doing any work.
+/// are ignored. Remembers which keys were read and which integer, number or
+/// choice values did not parse, so a tool can read every flag it knows and
+/// then reject the rest through FirstError() before doing any work.
 class Flags {
  public:
   Flags(int argc, char** argv, int first = 1) {
@@ -50,9 +53,7 @@ class Flags {
     errno = 0;
     const long long value = std::strtoll(text.c_str(), &end, 10);
     if (text.empty() || *end != '\0' || errno == ERANGE) {
-      if (bad_value_.empty()) {
-        bad_value_ = "--" + key + " needs a whole number, got '" + text + "'";
-      }
+      Reject("--" + key + " needs a whole number, got '" + text + "'");
       return fallback;
     }
     return value;
@@ -68,20 +69,53 @@ class Flags {
       if (it->second == choice) return it->second;
       names += (names.empty() ? "" : "|") + std::string(choice);
     }
-    if (bad_value_.empty()) {
-      bad_value_ = "--" + key + " must be one of " + names + ", got '" +
-                   it->second + "'";
-    }
+    Reject("--" + key + " must be one of " + names + ", got '" + it->second +
+           "'");
     return fallback;
   }
+  /// The value of a number flag (fallback when absent). A value that is not
+  /// one finite number as a whole ("0,8", "O.2", "inf") is remembered for
+  /// FirstError().
   double GetDouble(const std::string& key, double fallback) const {
     auto it = Find(key);
-    return it == values_.end() ? fallback : std::atof(it->second.c_str());
+    if (it == values_.end()) return fallback;
+    double value = 0.0;
+    if (!ParseDouble(it->second, &value)) {
+      Reject("--" + key + " needs a finite number, got '" + it->second + "'");
+      return fallback;
+    }
+    return value;
+  }
+  /// The comma-separated numbers of a list flag (empty when absent; empty
+  /// elements are skipped). An element that is not one finite number is
+  /// remembered for FirstError().
+  std::vector<double> GetDoubleList(const std::string& key) const {
+    std::vector<double> values;
+    auto it = Find(key);
+    if (it == values_.end()) return values;
+    std::istringstream in(it->second);
+    for (std::string item; std::getline(in, item, ',');) {
+      if (item.empty()) continue;
+      double value = 0.0;
+      if (ParseDouble(item, &value)) {
+        values.push_back(value);
+      } else {
+        Reject("--" + key + " needs finite numbers, got '" + item + "'");
+      }
+    }
+    return values;
+  }
+  /// Remembers `message` for FirstError() unless an earlier error already
+  /// is: lets a tool put its own value checks (a range) on the same
+  /// fail-before-any-work path.
+  void Reject(const std::string& message) const {
+    if (bad_value_.empty()) bad_value_ = message;
   }
   bool Has(const std::string& key) const { return Find(key) != values_.end(); }
   /// The first command-line error ("" if none): a flag that no getter has
-  /// read, else an integer flag whose value is not a whole number or a choice
-  /// flag whose value is not one of its choices.
+  /// read, else the first value a getter or Reject() refused (an integer
+  /// flag that is not a whole number, a number flag that is not a finite
+  /// number, a choice flag outside its choices).
   std::string FirstError() const {
     for (const auto& [key, value] : values_) {
       if (read_.count(key) == 0) return "unknown flag --" + key;
@@ -94,6 +128,13 @@ class Flags {
       const std::string& key) const {
     read_.insert(key);
     return values_.find(key);
+  }
+  static bool ParseDouble(const std::string& text, double* value) {
+    char* end = nullptr;
+    errno = 0;
+    *value = std::strtod(text.c_str(), &end);
+    return !text.empty() && *end == '\0' && errno != ERANGE &&
+           std::isfinite(*value);
   }
 
   std::map<std::string, std::string> values_;

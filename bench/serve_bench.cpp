@@ -1,5 +1,5 @@
 // Closed-loop serving benchmark: fixed fleets of synchronous clients drive
-// the micro-batching service end to end (request assembly, candidate cache,
+// the micro-batching service end to end (request assembly, candidate lookup,
 // batched frozen-model inference) and report throughput plus latency
 // percentiles per scenario. The headline comparison is batching ON vs OFF at
 // the same concurrency — the dynamic micro-batcher's whole value claim.
@@ -12,7 +12,7 @@
 // Scenarios:
 //   single_request   one BootlegModel::Predict per request: the value forward
 //                    with feature rows computed from the live tables, no
-//                    engine, no batcher, no candidate cache
+//                    engine, no batcher
 //   engine_c1_b1     frozen engine, 1 client, batching off (max_batch=1)
 //   engine_c8_b1     8 clients, batching off — queueing without coalescing
 //   engine_c8_b8     8 clients, dynamic micro-batching (max_batch=8)
@@ -29,7 +29,7 @@
 // bound and results must stay byte-identical to the serial evaluator, so
 // batching-on-vs-off contributes coalesced queueing overhead only; what is
 // left of the engine's edge over single_request is the prepared feature
-// table and the candidate cache. Both ratios are reported.
+// table. Both ratios are reported.
 #include <arpa/inet.h>
 #include <fcntl.h>
 #include <netinet/in.h>
@@ -173,7 +173,7 @@ ScenarioResult RunEngineScenario(serve::InferenceEngine* engine,
         return engine->DisambiguateBatch(batch, &scratch);
       },
       nullptr, &counters);
-  // Warm the candidate cache and code paths outside the timed window.
+  // Warm the code paths outside the timed window.
   for (const std::string& t : texts) batcher.Submit(t).get();
 
   ScenarioResult result = RunClosedLoop(
@@ -493,8 +493,8 @@ int main(int argc, char** argv) {
   BOOTLEG_CHECK_MSG(engine_or.ok(), engine_or.status().ToString());
   serve::InferenceEngine& engine = *engine_or.value();
 
-  // A fixed pool of real dev sentences: a skewed alias mix like the queries
-  // the cache is built for, shared by every scenario.
+  // A fixed pool of real dev sentences (a skewed alias mix, like real
+  // queries), shared by every scenario.
   std::vector<std::string> texts;
   for (const data::Sentence& s : corpus.dev) {
     if (s.mentions.empty()) continue;

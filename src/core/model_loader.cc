@@ -5,7 +5,9 @@
 
 #include "core/checkpoint.h"
 #include "nn/optimizer.h"
+#include "util/io.h"
 #include "util/logging.h"
+#include "util/string_util.h"
 
 namespace bootleg::core {
 
@@ -33,6 +35,24 @@ util::StatusOr<std::string> LoadNewestCheckpointParams(
     return util::Status::NotFound("no readable checkpoint in " + dir);
   }
   return result.path;
+}
+
+std::optional<BootlegConfig> AblationPreset(const std::string& ablation) {
+  BootlegConfig config;
+  config.encoder.max_len = 32;
+  if (ablation == "ent") return BootlegConfig::EntOnly(config);
+  if (ablation == "type") return BootlegConfig::TypeOnly(config);
+  if (ablation == "kg") return BootlegConfig::KgOnly(config);
+  if (ablation == "full") return config;
+  return std::nullopt;
+}
+
+std::string ReadAblationMeta(const std::string& model_path,
+                             const std::string& fallback) {
+  auto meta = util::ReadTextFile(model_path + ".meta");
+  if (!meta.ok()) return fallback;
+  const std::vector<std::string> tokens = util::Split(meta.value());
+  return tokens.empty() ? fallback : tokens[0];
 }
 
 }  // namespace bootleg::core

@@ -18,14 +18,6 @@ MentionExtractor::MentionExtractor(const kb::CandidateMap* candidates)
 
 std::vector<Mention> MentionExtractor::Extract(
     const std::vector<std::string>& tokens) const {
-  return Extract(tokens, [this](const std::string& alias) {
-    const auto* cands = candidates_->Lookup(alias);
-    return cands != nullptr && !cands->empty();
-  });
-}
-
-std::vector<Mention> MentionExtractor::Extract(
-    const std::vector<std::string>& tokens, const AliasFn& known_alias) const {
   std::vector<Mention> mentions;
   size_t i = 0;
   while (i < tokens.size()) {
@@ -39,7 +31,8 @@ std::vector<Mention> MentionExtractor::Extract(
         surface += ' ';
         surface += tokens[i + k];
       }
-      if (known_alias(surface)) {
+      const auto* cands = candidates_->Lookup(surface);
+      if (cands != nullptr && !cands->empty()) {
         matched = n;
         alias = std::move(surface);
         break;
@@ -59,23 +52,27 @@ std::vector<Mention> MentionExtractor::Extract(
   return mentions;
 }
 
+MentionExample MentionExtractor::ToExample(const Mention& mention) const {
+  MentionExample me;
+  me.span_start = mention.span_start;
+  me.span_end = mention.span_end;
+  if (const auto* cands = candidates_->Lookup(mention.alias)) {
+    me.candidates.reserve(cands->size());
+    me.priors.reserve(cands->size());
+    for (const kb::Candidate& c : *cands) {
+      me.candidates.push_back(c.entity);
+      me.priors.push_back(c.prior);
+    }
+  }
+  return me;
+}
+
 SentenceExample MentionExtractor::BuildExample(const text::Vocabulary& vocab,
                                                const std::string& text) const {
   const std::vector<std::string> tokens = text::Tokenize(text);
   SentenceExample ex;
   ex.token_ids = text::Encode(vocab, tokens);
-  for (const Mention& m : Extract(tokens)) {
-    const auto* cands = candidates_->Lookup(m.alias);
-    if (cands == nullptr || cands->empty()) continue;
-    MentionExample me;
-    me.span_start = m.span_start;
-    me.span_end = m.span_end;
-    for (size_t k = 0; k < cands->size(); ++k) {
-      me.candidates.push_back((*cands)[k].entity);
-      me.priors.push_back((*cands)[k].prior);
-    }
-    ex.mentions.push_back(std::move(me));
-  }
+  for (const Mention& m : Extract(tokens)) ex.mentions.push_back(ToExample(m));
   return ex;
 }
 

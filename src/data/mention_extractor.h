@@ -1,7 +1,6 @@
 #ifndef BOOTLEG_DATA_MENTION_EXTRACTOR_H_
 #define BOOTLEG_DATA_MENTION_EXTRACTOR_H_
 
-#include <functional>
 #include <string>
 #include <vector>
 
@@ -19,27 +18,25 @@ namespace bootleg::data {
 /// the same n-gram-over-candidate-maps scan). With `disambiguate_text` this
 /// is the server's untrusted input surface, so it must tolerate anything:
 /// empty input, overlong tokens, punctuation-only text, and overlapping
-/// alias matches (leftmost-longest wins, deterministically).
+/// alias matches (leftmost-longest wins, deterministically). Every n-gram
+/// probe is one lookup in Γ's hash map, and ToExample reads a reported
+/// alias's candidates from the same map.
 class MentionExtractor {
  public:
-  /// Alias-existence predicate used during the scan. The default consults
-  /// Γ directly; the serving engine supplies a CandidateCache-backed one so
-  /// extraction warms the same cache example assembly then reads.
-  using AliasFn = std::function<bool(const std::string&)>;
-
   /// `candidates` must be finalized; the constructor scans it once for the
   /// longest alias (in tokens) to bound the n-gram window.
   explicit MentionExtractor(const kb::CandidateMap* candidates);
 
   /// Greedy leftmost-longest scan: at each position the longest n-gram
-  /// (n <= max_alias_tokens()) matching a known alias becomes an unlabeled
-  /// mention and the scan resumes after its last token. Overlapping matches
-  /// resolve deterministically — earlier start wins, then longer span.
+  /// (n <= max_alias_tokens()) that has a non-empty candidate list in Γ
+  /// becomes an unlabeled mention and the scan resumes after its last token.
+  /// Overlapping matches resolve deterministically — earlier start wins,
+  /// then longer span.
   std::vector<Mention> Extract(const std::vector<std::string>& tokens) const;
 
-  /// Same scan through a caller-supplied existence predicate.
-  std::vector<Mention> Extract(const std::vector<std::string>& tokens,
-                               const AliasFn& known_alias) const;
+  /// The model-ready form of an extracted mention: its span, and the
+  /// candidates and priors of its alias in Γ, in Γ's order (gold unknown).
+  MentionExample ToExample(const Mention& mention) const;
 
   /// Longest alias in Γ, in whitespace-delimited tokens (>= 1).
   int64_t max_alias_tokens() const { return max_alias_tokens_; }

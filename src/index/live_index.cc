@@ -454,7 +454,6 @@ util::Status ApplyDeltas(const store::EmbeddingStore& store,
           return util::Status::Corruption("candidate delta rejected (" +
                                           a.file + "): " + cs.message());
         }
-        if (stats != nullptr) stats->touched_aliases.push_back(al.alias);
       }
       if (title_token_ids != nullptr) {
         title_token_ids->push_back(rec.title_token_id);

@@ -128,7 +128,6 @@ util::Status PublishDelta(const std::string& store_root,
 struct ApplyStats {
   int64_t entities_applied = 0;  // newly applied (not previously replayed)
   int64_t deltas_seen = 0;       // INDEX_DELTA files in the chain
-  std::vector<std::string> touched_aliases;  // for candidate-cache invalidation
 };
 
 /// Replays the chain's INDEX_DELTA aux files (base → tip) onto `kb` and

@@ -2,38 +2,19 @@
 
 #include <algorithm>
 #include <chrono>
+#include <optional>
 #include <utility>
 
 #include "core/model_loader.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "text/vocabulary.h"
-#include "util/io.h"
 #include "util/logging.h"
-#include "util/string_util.h"
 
 namespace bootleg::serve {
 
-namespace {
-
-core::BootlegConfig ConfigForAblation(const std::string& ablation,
-                                      util::Status* status) {
-  core::BootlegConfig config;
-  config.encoder.max_len = 32;  // the training default of bootleg_cli
-  if (ablation == "ent") return core::BootlegConfig::EntOnly(config);
-  if (ablation == "type") return core::BootlegConfig::TypeOnly(config);
-  if (ablation == "kg") return core::BootlegConfig::KgOnly(config);
-  if (ablation != "full") {
-    *status = util::Status::InvalidArgument("unknown ablation: " + ablation);
-  }
-  return config;
-}
-
-}  // namespace
-
-InferenceEngine::InferenceEngine(const EngineOptions& options,
-                                 size_t cache_capacity)
-    : options_(options), cache_(cache_capacity) {}
+InferenceEngine::InferenceEngine(const EngineOptions& options)
+    : options_(options) {}
 
 util::StatusOr<std::unique_ptr<InferenceEngine>> InferenceEngine::Create(
     const EngineOptions& options) {
@@ -46,8 +27,7 @@ util::StatusOr<std::unique_ptr<InferenceEngine>> InferenceEngine::Create(
         "store_dir requires model_path: an embedding store snapshots one "
         "fixed set of weights and cannot follow a checkpoint directory");
   }
-  std::unique_ptr<InferenceEngine> engine(
-      new InferenceEngine(options, options.cache_capacity));
+  std::unique_ptr<InferenceEngine> engine(new InferenceEngine(options));
   util::Status st = engine->Initialize();
   if (!st.ok()) return st;
   return engine;
@@ -63,17 +43,16 @@ util::Status InferenceEngine::Initialize() {
 
   // Model-path deployments record their config preset in a .meta sidecar
   // (written by `bootleg_cli train`); it overrides the option when present.
-  std::string ablation = options_.ablation;
-  if (!options_.model_path.empty()) {
-    auto meta = util::ReadTextFile(options_.model_path + ".meta");
-    if (meta.ok()) {
-      const auto parts = util::Split(meta.value());
-      if (!parts.empty()) ablation = parts[0];
-    }
+  const std::string ablation =
+      options_.model_path.empty()
+          ? options_.ablation
+          : core::ReadAblationMeta(options_.model_path, options_.ablation);
+  const std::optional<core::BootlegConfig> preset =
+      core::AblationPreset(ablation);
+  if (!preset.has_value()) {
+    return util::Status::InvalidArgument("unknown ablation: " + ablation);
   }
-  util::Status config_status = util::Status::OK();
-  core::BootlegConfig config = ConfigForAblation(ablation, &config_status);
-  BOOTLEG_RETURN_IF_ERROR(config_status);
+  const core::BootlegConfig& config = *preset;
   if (config.use_cooccurrence_kg) {
     return util::Status::InvalidArgument(
         "co-occurrence KG models are not servable: sentence co-occurrence "
@@ -162,9 +141,6 @@ util::Status InferenceEngine::AdoptNewestStoreGeneration() {
       candidates_ = std::move(candidates_next);
       title_token_ids_ = std::move(title_ids_next);
       if (use_title) model_->SetTitleTokenIds(title_token_ids_);
-      for (const std::string& alias : delta_stats.touched_aliases) {
-        cache_.Invalidate(alias);
-      }
       // A delta can introduce an alias longer (in tokens) than any the
       // extractor's n-gram window was sized for — rebuild the scanner.
       extractor_ = std::make_unique<data::MentionExtractor>(&candidates_);
@@ -277,7 +253,7 @@ util::Status InferenceEngine::AddEntityLive(index::DeltaEntity entity) {
                     << published.dir;
 
   // Adopt the generation we just published: replays the delta onto the KB
-  // and candidate map, invalidates the touched aliases, swaps the view.
+  // and candidate map, swaps the view.
   return AdoptNewestStoreGeneration();
 }
 
@@ -296,9 +272,12 @@ util::Status InferenceEngine::Reload() {
   // on error the previous weights are still intact and serving continues.
   if (!loaded.ok()) return loaded.status();
   if (loaded.value() == loaded_path_) return util::Status::OK();
-  loaded_path_ = loaded.value();
+  {
+    std::lock_guard<std::mutex> lock(store_mu_);
+    loaded_path_ = loaded.value();
+  }
   model_->PrepareFrozenInference();
-  BOOTLEG_LOG(Info) << "hot-reloaded weights from " << loaded_path_;
+  BOOTLEG_LOG(Info) << "hot-reloaded weights from " << loaded.value();
   return util::Status::OK();
 }
 
@@ -338,8 +317,8 @@ std::vector<SentenceResult> InferenceEngine::DisambiguateBatch(
   // documents split after terminal punctuation tokens (Tokenize peels them
   // into their own tokens, so per-sentence tokenization concatenates to the
   // whole-document tokenization and spans translate by the range offset).
-  // Candidates resolve through the LRU cache both during the extractor's
-  // greedy scan and at example fill (the scan warms the entry).
+  // Candidates are read straight from Γ with no lock: batches run under the
+  // batcher's shared lock, and Γ changes only in its exclusive lane.
   std::vector<data::SentenceExample> examples;
   struct ExampleOrigin {
     size_t item = 0;
@@ -349,11 +328,6 @@ std::vector<SentenceResult> InferenceEngine::DisambiguateBatch(
   std::vector<SentenceResult> results(items.size());
   {
     OBS_SPAN("serve.assemble");
-    CachedCandidates cached;
-    const data::MentionExtractor::AliasFn known_alias =
-        [this, &cached](const std::string& alias) {
-          return cache_.Lookup(candidates_, alias, &cached);
-        };
     for (size_t i = 0; i < items.size(); ++i) {
       const std::vector<std::string> tokens = text::Tokenize(items[i].text);
       std::vector<std::pair<size_t, size_t>> ranges;  // [begin, end)
@@ -381,20 +355,15 @@ std::vector<SentenceResult> InferenceEngine::DisambiguateBatch(
                                      ? vocab_.IdWithTypoFallback(tok)
                                      : vocab_.Id(tok));
         }
-        for (const data::Mention& m : extractor_->Extract(sent, known_alias)) {
-          if (!cache_.Lookup(candidates_, m.alias, &cached)) continue;
-          data::MentionExample me;
-          me.span_start = m.span_start;
-          me.span_end = m.span_end;
-          me.candidates = cached.entities;
-          me.priors = cached.priors;
-          ex.mentions.push_back(std::move(me));
+        for (const data::Mention& m : extractor_->Extract(sent)) {
+          ex.mentions.push_back(extractor_->ToExample(m));
 
           ServedMention served;
           served.alias = m.alias;
           served.span_start = m.span_start + static_cast<int64_t>(lo);
           served.span_end = m.span_end + static_cast<int64_t>(lo);
-          served.num_candidates = static_cast<int64_t>(cached.entities.size());
+          served.num_candidates =
+              static_cast<int64_t>(ex.mentions.back().candidates.size());
           served.sentence_index = static_cast<int64_t>(si);
           results[i].mentions.push_back(std::move(served));
         }

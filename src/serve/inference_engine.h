@@ -15,7 +15,6 @@
 #include "index/live_index.h"
 #include "kb/candidate_map.h"
 #include "kb/kb.h"
-#include "serve/candidate_cache.h"
 #include "store/embedding_store.h"
 #include "text/vocabulary.h"
 #include "util/status.h"
@@ -31,7 +30,6 @@ struct EngineOptions {
   std::string model_path;      // snapshot file (frozen deployment)
   std::string checkpoint_dir;  // checkpoint directory (hot-reloadable)
   std::string ablation = "full";  // config preset: full|ent|type|kg
-  size_t cache_capacity = 4096;   // candidate cache, in aliases
   /// Optional embedding-store directory (written by `bootleg_cli
   /// export-store`). When set, the frozen per-entity features are served
   /// from the newest memory-mapped store generation under this directory
@@ -100,10 +98,13 @@ struct SentenceResult {
 /// feature table, and serves batched forward-only predictions.
 ///
 /// Thread-safety: Disambiguate/PredictExamples may run concurrently from any
-/// number of threads, each with its own InferenceScratch — the model is
-/// read-only between reloads and the candidate cache locks internally.
-/// Reload() mutates the weights and must be externally serialized against
-/// in-flight inference (the micro-batcher does this between batches).
+/// number of threads, each with its own InferenceScratch — the model, KB and
+/// candidate map are read-only between mutations. Reload() and
+/// AddEntityLive() rewrite the weights, KB and candidate map and must be
+/// externally serialized against in-flight inference and against any other
+/// reader of kb()/candidates() (the micro-batcher runs them in its exclusive
+/// lane, between batches). loaded_path() and the store accessors are safe
+/// from any thread.
 class InferenceEngine {
  public:
   static util::StatusOr<std::unique_ptr<InferenceEngine>> Create(
@@ -127,8 +128,8 @@ class InferenceEngine {
   /// nothing is adopted and the previous generation keeps serving.
   util::Status AddEntityLive(index::DeltaEntity entity);
 
-  /// Tokenizes each text, extracts alias mentions through the candidate
-  /// cache, and disambiguates all texts in one batched forward pass.
+  /// Tokenizes each text, extracts alias mentions against Γ, and
+  /// disambiguates all texts in one batched forward pass.
   /// Convenience wrapper over DisambiguateBatch with pre-segmented items.
   std::vector<SentenceResult> Disambiguate(
       const std::vector<std::string>& texts,
@@ -139,7 +140,7 @@ class InferenceEngine {
   /// extracted mention of every item. Raw items are sentence-split on
   /// terminal punctuation tokens (`.` `?` `!`) and mention-extracted per
   /// sentence via the greedy leftmost-longest scan of data::MentionExtractor
-  /// through the candidate cache; their mentions report document-level spans
+  /// over Γ; their mentions report document-level spans
   /// plus the sentence index. A single-sentence raw item yields results
   /// byte-identical to the same text submitted pre-segmented.
   ///
@@ -159,13 +160,16 @@ class InferenceEngine {
       core::BootlegModel::InferenceScratch* scratch) const;
 
   core::BootlegModel& model() { return *model_; }
-  CandidateCache& cache() { return cache_; }
   const kb::KnowledgeBase& kb() const { return kb_; }
   const kb::CandidateMap& candidates() const { return candidates_; }
   const text::Vocabulary& vocab() const { return vocab_; }
 
   /// Path of the weights currently serving (snapshot or checkpoint file).
-  const std::string& loaded_path() const { return loaded_path_; }
+  /// A copy taken under store_mu_: Reload() may replace it concurrently.
+  std::string loaded_path() const {
+    std::lock_guard<std::mutex> lock(store_mu_);
+    return loaded_path_;
+  }
 
   /// Snapshot of the mapped embedding store serving frozen features, or
   /// nullptr when the engine computes them into the heap (no store_dir).
@@ -204,7 +208,7 @@ class InferenceEngine {
   }
 
  private:
-  InferenceEngine(const EngineOptions& options, size_t cache_capacity);
+  explicit InferenceEngine(const EngineOptions& options);
 
   util::Status Initialize();
   /// Opens the newest generation under options_.store_dir and points the
@@ -216,18 +220,17 @@ class InferenceEngine {
   kb::CandidateMap candidates_;
   text::Vocabulary vocab_;
   std::unique_ptr<core::BootlegModel> model_;
-  CandidateCache cache_;
   /// Greedy leftmost-longest scanner over candidates_; rebuilt whenever a
   /// delta commit can grow the longest alias (its n-gram window bound).
   std::unique_ptr<data::MentionExtractor> extractor_;
-  std::string loaded_path_;
   /// Title token id per KB entity (use_title_feature configs); grows as
   /// delta-chain entities are applied, mirrored into the model.
   std::vector<int64_t> title_token_ids_;
-  /// Guards entity_store_/store_generation_/induced_entities_: written by
-  /// the reload path (batcher worker / Initialize), read by stats on
-  /// connection threads.
+  /// Guards loaded_path_/entity_store_/store_generation_/induced_entities_/
+  /// auto_compactions_: written by the reload path (batcher worker /
+  /// Initialize), read by health and stats on connection threads.
   mutable std::mutex store_mu_;
+  std::string loaded_path_;
   std::shared_ptr<store::EmbeddingStore> entity_store_;
   int64_t store_generation_ = -1;
   int64_t induced_entities_ = 0;

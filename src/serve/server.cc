@@ -2,6 +2,7 @@
 
 #include <chrono>
 #include <future>
+#include <memory>
 #include <utility>
 
 #include "obs/metrics.h"
@@ -55,6 +56,91 @@ std::string MentionsReply(const SentenceResult& result) {
   reply.Set("ok", Json::Bool(true));
   reply.Set("mentions", std::move(mentions));
   return reply.Dump();
+}
+
+/// Parses an add_entity spec, resolving its type, relation and object names
+/// against `kb`. Returns "" on success, else the bad_request message. An
+/// optional field of the wrong JSON type is an error, never a default.
+std::string ParseAddEntitySpec(const Json& request,
+                               const kb::KnowledgeBase& kb,
+                               index::DeltaEntity* spec) {
+  spec->title = request.GetString("title");
+  if (spec->title.empty()) return "add_entity requires a string \"title\"";
+
+  const Json* coarse = request.Find("coarse");
+  if (coarse != nullptr && !coarse->is_string()) {
+    return "\"coarse\" must be a coarse type name";
+  }
+  const std::string coarse_name =
+      coarse != nullptr ? coarse->string_value() : "miscellaneous";
+  const auto coarse_id = kb::CoarseTypeFromName(coarse_name);
+  if (!coarse_id.has_value()) {
+    return "unknown coarse type \"" + coarse_name + "\"";
+  }
+  spec->coarse = *coarse_id;
+
+  const Json* gender = request.Find("gender");
+  const std::string gender_name =
+      gender == nullptr ? "n" : gender->is_string() ? gender->string_value() : "";
+  if (gender_name != "m" && gender_name != "f" && gender_name != "n") {
+    return "\"gender\" must be \"m\", \"f\" or \"n\"";
+  }
+  spec->gender = gender_name[0];
+
+  if (const Json* types = request.Find("types"); types != nullptr) {
+    if (!types->is_array()) return "\"types\" must be an array of type names";
+    for (const Json& t : types->array_items()) {
+      if (!t.is_string()) return "\"types\" must be an array of type names";
+      const kb::TypeId id = kb.FindTypeByName(t.string_value());
+      if (id == kb::kInvalidId) {
+        return "unknown type \"" + t.string_value() + "\"";
+      }
+      spec->types.push_back(id);
+    }
+  }
+
+  if (const Json* rels = request.Find("relations"); rels != nullptr) {
+    if (!rels->is_array()) {
+      return "\"relations\" must be an array of {relation, object} objects";
+    }
+    for (const Json& r : rels->array_items()) {
+      if (!r.is_object()) {
+        return "\"relations\" entries must be {relation, object} objects";
+      }
+      const std::string rel_name = r.GetString("relation");
+      const kb::RelationId rel = kb.FindRelationByName(rel_name);
+      if (rel == kb::kInvalidId) return "unknown relation \"" + rel_name + "\"";
+      const std::string obj_title = r.GetString("object");
+      const kb::EntityId obj = kb.FindByTitle(obj_title);
+      if (obj == kb::kInvalidId) {
+        return "unknown object entity \"" + obj_title + "\"";
+      }
+      spec->triples.push_back({rel, obj});
+    }
+  }
+
+  if (const Json* aliases = request.Find("aliases"); aliases != nullptr) {
+    if (!aliases->is_array()) {
+      return "\"aliases\" must be an array of {alias, prior} objects";
+    }
+    for (const Json& a : aliases->array_items()) {
+      if (!a.is_object() || a.GetString("alias").empty()) {
+        return "\"aliases\" entries must be {alias, prior} objects";
+      }
+      index::DeltaAlias da;
+      da.alias = a.GetString("alias");
+      if (const Json* prior = a.Find("prior"); prior != nullptr) {
+        if (!prior->is_number()) {
+          return "\"prior\" of alias \"" + da.alias + "\" must be a number";
+        }
+        da.prior = static_cast<float>(prior->number_value());
+      }
+      spec->aliases.push_back(std::move(da));
+    }
+  }
+  // Minimal usable spec: the title itself is the alias.
+  if (spec->aliases.empty()) spec->aliases.push_back({spec->title, 0.5f});
+  return "";
 }
 
 }  // namespace
@@ -210,121 +296,29 @@ void Server::HandleAddEntity(const Json& request, const net::PeerInfo& peer,
     return;
   }
 
-  // Parse the spec, resolving every name against the serving KB up front so
-  // the client gets a field-specific bad_request instead of a failed
-  // exclusive task.
-  std::string bad;
-  index::DeltaEntity spec;
-  spec.title = request.GetString("title");
-  if (spec.title.empty()) bad = "add_entity requires a string \"title\"";
-
-  const std::string coarse_name = request.GetString("coarse", "miscellaneous");
-  if (bad.empty()) {
-    const auto coarse = kb::CoarseTypeFromName(coarse_name);
-    if (!coarse.has_value()) {
-      bad = "unknown coarse type \"" + coarse_name + "\"";
-    } else {
-      spec.coarse = *coarse;
-    }
-  }
-
-  const std::string gender = request.GetString("gender", "n");
-  if (bad.empty()) {
-    if (gender != "m" && gender != "f" && gender != "n") {
-      bad = "\"gender\" must be \"m\", \"f\" or \"n\"";
-    } else {
-      spec.gender = gender[0];
-    }
-  }
-
-  const kb::KnowledgeBase& kb = engine_->kb();
-  if (const Json* types = request.Find("types");
-      bad.empty() && types != nullptr) {
-    if (!types->is_array()) bad = "\"types\" must be an array of type names";
-    for (const Json& t : types->array_items()) {
-      if (!bad.empty()) break;
-      if (!t.is_string()) {
-        bad = "\"types\" must be an array of type names";
-        break;
-      }
-      const kb::TypeId id = kb.FindTypeByName(t.string_value());
-      if (id == kb::kInvalidId) {
-        bad = "unknown type \"" + t.string_value() + "\"";
-        break;
-      }
-      spec.types.push_back(id);
-    }
-  }
-
-  if (const Json* rels = request.Find("relations");
-      bad.empty() && rels != nullptr) {
-    if (!rels->is_array()) {
-      bad = "\"relations\" must be an array of {relation, object} objects";
-    }
-    for (const Json& r : rels->array_items()) {
-      if (!bad.empty()) break;
-      if (!r.is_object()) {
-        bad = "\"relations\" entries must be {relation, object} objects";
-        break;
-      }
-      const std::string rel_name = r.GetString("relation");
-      const std::string obj_title = r.GetString("object");
-      const kb::RelationId rel = kb.FindRelationByName(rel_name);
-      if (rel == kb::kInvalidId) {
-        bad = "unknown relation \"" + rel_name + "\"";
-        break;
-      }
-      const kb::EntityId obj = kb.FindByTitle(obj_title);
-      if (obj == kb::kInvalidId) {
-        bad = "unknown object entity \"" + obj_title + "\"";
-        break;
-      }
-      spec.triples.push_back({rel, obj});
-    }
-  }
-
-  if (const Json* aliases = request.Find("aliases");
-      bad.empty() && aliases != nullptr) {
-    if (!aliases->is_array()) {
-      bad = "\"aliases\" must be an array of {alias, prior} objects";
-    }
-    for (const Json& a : aliases->array_items()) {
-      if (!bad.empty()) break;
-      if (!a.is_object() || a.GetString("alias").empty()) {
-        bad = "\"aliases\" entries must be {alias, prior} objects";
-        break;
-      }
-      index::DeltaAlias da;
-      da.alias = a.GetString("alias");
-      da.prior = static_cast<float>(a.GetNumber("prior", 0.5));
-      spec.aliases.push_back(std::move(da));
-    }
-  }
-  if (bad.empty() && spec.aliases.empty()) {
-    // Minimal usable spec: the title itself is the alias.
-    spec.aliases.push_back({spec.title, 0.5f});
-  }
-  if (!bad.empty()) {
-    if (counters_ != nullptr) {
-      counters_->errors.fetch_add(1, std::memory_order_relaxed);
-    }
-    done(ErrorReply("bad_request", bad));
-    return;
-  }
-
-  // The mutation itself runs in the batcher's exclusive lane: no batch is in
-  // flight while the KB, candidate map and store view change, and concurrent
-  // requests simply order around it.
+  // The spec is parsed, and its type, relation and object names resolved,
+  // inside the batcher's exclusive lane, like the mutation itself: every
+  // other add (and every reload) rewrites the KB there, so this connection
+  // thread must not read it. No batch is in flight while the KB, candidate
+  // map and store view change, and concurrent requests order around it.
   InferenceEngine* engine = engine_;
   ServerCounters* counters = counters_;
+  auto bad_spec = std::make_shared<std::string>();
   batcher_->SubmitExclusive(
-      [engine, spec]() mutable {
+      [engine, request, bad_spec] {
+        index::DeltaEntity spec;
+        *bad_spec = ParseAddEntitySpec(request, engine->kb(), &spec);
+        if (!bad_spec->empty()) return util::Status::InvalidArgument(*bad_spec);
         return engine->AddEntityLive(std::move(spec));
       },
-      [engine, counters, done = std::move(done)](util::Status st) {
+      [engine, counters, bad_spec, done = std::move(done)](util::Status st) {
         if (!st.ok()) {
           if (counters != nullptr) {
             counters->errors.fetch_add(1, std::memory_order_relaxed);
+          }
+          if (!bad_spec->empty()) {
+            done(ErrorReply("bad_request", *bad_spec));
+            return;
           }
           const util::StatusCode code = st.code();
           const bool client_fault =
@@ -393,16 +387,6 @@ std::string Server::StatsReply() {
     reply.Set("mean_batch", Json::Number(counters_->MeanBatchSize()));
     reply.Set("reloads", Json::Number(static_cast<double>(
                              counters_->reloads.load(std::memory_order_relaxed))));
-  }
-  if (engine_ != nullptr) {
-    const CandidateCache& cache = engine_->cache();
-    reply.Set("cache_hits", Json::Number(static_cast<double>(cache.hits())));
-    reply.Set("cache_misses", Json::Number(static_cast<double>(cache.misses())));
-    const double lookups = static_cast<double>(cache.hits() + cache.misses());
-    reply.Set("cache_hit_rate",
-              Json::Number(lookups == 0.0 ? 0.0
-                                          : static_cast<double>(cache.hits()) /
-                                                lookups));
   }
   if (latency_ != nullptr) {
     Json lat = Json::Object();

@@ -117,9 +117,10 @@ class Server : public net::LineHandler {
   /// and mention-extracted inside the engine instead of being treated as one
   /// pre-segmented sentence.
   void HandleDisambiguate(const Json& request, bool raw_text, Done done);
-  /// Live index mutation: parses the entity spec (names resolved against the
-  /// serving KB), then runs InferenceEngine::AddEntityLive through the
-  /// batcher's exclusive lane. Loopback peers only.
+  /// Live index mutation: parses the entity spec, resolves its names against
+  /// the serving KB and runs InferenceEngine::AddEntityLive, all inside the
+  /// batcher's exclusive lane (the KB is rewritten there). Loopback peers
+  /// only.
   void HandleAddEntity(const Json& request, const net::PeerInfo& peer,
                        Done done);
   std::string HandleControl(const Json& request, const std::string& op);

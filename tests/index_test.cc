@@ -7,6 +7,7 @@
 // corrupt, and compact a chain into a flat generation whose gathers are
 // bit-identical to the chain tip.
 
+#include <atomic>
 #include <cstdint>
 #include <cstring>
 #include <filesystem>
@@ -15,6 +16,7 @@
 #include <iterator>
 #include <memory>
 #include <string>
+#include <thread>
 #include <utility>
 #include <vector>
 
@@ -34,6 +36,7 @@
 #include "serve/metrics.h"
 #include "serve/server.h"
 #include "store/embedding_store.h"
+#include "text/vocabulary.h"
 #include "util/status.h"
 
 namespace bootleg {
@@ -399,8 +402,7 @@ TEST(LiveIndexTest, FreshEngineReplaysChainFromDiskAndReplayIsIdempotent) {
   EXPECT_TRUE(found);
 
   // Raw replay: applying the same chain twice applies nothing the second
-  // time (base_entities bookkeeping), and reports the touched alias for
-  // cache invalidation.
+  // time (base_entities bookkeeping), and the first pass grows Γ.
   int64_t generation = 0;
   auto opened = store::OpenNewestGeneration(root, &generation);
   ASSERT_TRUE(opened.ok()) << opened.status().ToString();
@@ -412,13 +414,66 @@ TEST(LiveIndexTest, FreshEngineReplaysChainFromDiskAndReplayIsIdempotent) {
       index::ApplyDeltas(*opened.value(), &kb, &cands, nullptr, &first).ok());
   EXPECT_EQ(first.entities_applied, 1);
   EXPECT_EQ(first.deltas_seen, 1);
-  ASSERT_EQ(first.touched_aliases.size(), 1u);
-  EXPECT_EQ(first.touched_aliases[0], "zyqreplay");
+  const std::vector<kb::Candidate>* replayed = cands.Lookup("zyqreplay");
+  ASSERT_NE(replayed, nullptr);
+  ASSERT_EQ(replayed->size(), 1u);
+  EXPECT_EQ((*replayed)[0].entity, base);
   ASSERT_TRUE(
       index::ApplyDeltas(*opened.value(), &kb, &cands, nullptr, &second).ok());
   EXPECT_EQ(second.entities_applied, 0);
   EXPECT_EQ(second.deltas_seen, 1);
   EXPECT_EQ(kb.num_entities(), base + 1);
+}
+
+TEST(LiveIndexTest, ServedCandidatesFollowALiveAddToAWarmAlias) {
+  auto engine = MakeEngine(FreshRoot("warm_alias"));
+  const kb::CandidateMap& cands = engine->candidates();
+
+  // A one-token alias with room for one more candidate (so the add rescales
+  // the list without truncating it), served once to warm it.
+  std::string alias;
+  for (const auto& [name, list] : cands.map()) {
+    if (text::Tokenize(name) == std::vector<std::string>{name} &&
+        list.size() >= 2 &&
+        static_cast<int>(list.size()) < cands.max_candidates() &&
+        (alias.empty() || name < alias)) {
+      alias = name;
+    }
+  }
+  ASSERT_FALSE(alias.empty());
+  core::BootlegModel::InferenceScratch scratch;
+  std::vector<serve::SentenceResult> served =
+      engine->Disambiguate({alias}, &scratch);
+  ASSERT_EQ(served.size(), 1u);
+  ASSERT_EQ(served[0].mentions.size(), 1u);
+  const serve::ServedMention before = served[0].mentions[0];
+  ASSERT_EQ(before.alias, alias);
+  ASSERT_EQ(before.num_candidates,
+            static_cast<int64_t>(cands.Lookup(alias)->size()));
+
+  // The new entity joins the warm alias with prior 0.5.
+  constexpr float kPrior = 0.5f;
+  index::DeltaEntity spec = MakeSpec(engine->kb(), "zyqwarm");
+  spec.aliases.push_back({alias, kPrior});
+  ASSERT_TRUE(engine->AddEntityLive(std::move(spec)).ok());
+  const std::vector<kb::Candidate>& now = *cands.Lookup(alias);
+  ASSERT_EQ(now.size(), static_cast<size_t>(before.num_candidates) + 1);
+
+  // The reply reads the grown list: its count, and its prior for whichever
+  // candidate wins now.
+  served = engine->Disambiguate({alias}, &scratch);
+  ASSERT_EQ(served.size(), 1u);
+  ASSERT_EQ(served[0].mentions.size(), 1u);
+  const serve::ServedMention after = served[0].mentions[0];
+  EXPECT_EQ(after.num_candidates, static_cast<int64_t>(now.size()));
+  const auto prior_of = [&](kb::EntityId e) {
+    for (const kb::Candidate& c : now) {
+      if (c.entity == e) return c.prior;
+    }
+    return -1.0f;
+  };
+  EXPECT_EQ(after.prior, prior_of(after.entity));
+  EXPECT_EQ(prior_of(before.entity), before.prior * (1.0f - kPrior));
 }
 
 // --- Corruption: every delta artifact, every byte -----------------------------
@@ -789,6 +844,102 @@ TEST(LiveIndexServerTest, AddEntityOpRejectsBadSpecsAndNonLoopbackPeers) {
         read_promise.set_value(std::move(reply));
       });
   EXPECT_TRUE(ParseReply(read_future.get()).Find("ok")->bool_value());
+}
+
+TEST(LiveIndexServerTest, AddEntityOpRejectsWronglyTypedOptionalFields) {
+  IndexServerUnderTest sut(FreshRoot("server_strict"));
+
+  // A present field of the wrong JSON type is a bad_request naming the
+  // field, never a silent default (prior 0.5, "miscellaneous", "n").
+  const std::vector<std::pair<std::string, std::string>> cases = {
+      {R"({"op":"add_entity","title":"zyqstrict","aliases":[{"alias":"zyqstrict","prior":"0.3"}]})",
+       "\"prior\" of alias \"zyqstrict\" must be a number"},
+      {R"({"op":"add_entity","title":"zyqstrict","aliases":[{"alias":"zyqstrict","prior":null}]})",
+       "\"prior\" of alias \"zyqstrict\" must be a number"},
+      {R"({"op":"add_entity","title":"zyqstrict","coarse":7})",
+       "\"coarse\" must be a coarse type name"},
+      {R"({"op":"add_entity","title":"zyqstrict","gender":true})",
+       "\"gender\" must be \"m\", \"f\" or \"n\""},
+  };
+  for (const auto& [line, error] : cases) {
+    const serve::Json reply = ParseReply(sut.server->HandleLine(line));
+    ASSERT_NE(reply.Find("ok"), nullptr) << line;
+    EXPECT_FALSE(reply.Find("ok")->bool_value()) << line;
+    EXPECT_EQ(reply.GetString("code"), "bad_request") << line;
+    EXPECT_EQ(reply.GetString("error"), error) << line;
+  }
+  EXPECT_EQ(sut.engine->store_generation(), 1);  // nothing published
+  EXPECT_EQ(sut.counters.errors.load(), static_cast<int64_t>(cases.size()));
+
+  // The well-typed spec goes through.
+  const serve::Json added = ParseReply(sut.server->HandleLine(
+      R"({"op":"add_entity","title":"zyqstrict","coarse":"person","gender":"f","aliases":[{"alias":"zyqstrict","prior":0.3}]})"));
+  EXPECT_TRUE(added.Find("ok")->bool_value()) << added.Dump();
+  EXPECT_EQ(sut.engine->store_generation(), 2);
+}
+
+// Two connections adding entities at once: each spec's type, relation and
+// object names resolve against the KB that the other's add rewrites, so the
+// resolution must run in the exclusive lane too (TSan reports it otherwise).
+TEST(LiveIndexServerTest, ConcurrentAddsResolveNamesWhileTheKbIsRewritten) {
+  IndexServerUnderTest sut(FreshRoot("server_concurrent_adds"));
+  const int64_t base = sut.engine->kb().num_entities();
+  const index::DeltaEntity shape = MakeSpec(sut.engine->kb(), "unused");
+  ASSERT_FALSE(shape.types.empty());
+  ASSERT_FALSE(shape.triples.empty());
+  serve::Json types = serve::Json::Array();
+  for (const kb::TypeId t : shape.types) {
+    types.Append(serve::Json::Str(sut.engine->kb().type(t).name));
+  }
+  serve::Json relations = serve::Json::Array();
+  for (const index::DeltaTriple& t : shape.triples) {
+    serve::Json edge = serve::Json::Object();
+    edge.Set("relation",
+             serve::Json::Str(sut.engine->kb().relation(t.relation).name));
+    edge.Set("object", serve::Json::Str(sut.engine->kb().entity(t.object).title));
+    relations.Append(std::move(edge));
+  }
+
+  constexpr int kThreads = 2;
+  constexpr int kAddsPerThread = 20;
+  net::PeerInfo loopback;
+  loopback.loopback = true;
+  loopback.address = "127.0.0.1";
+  std::atomic<int> added{0};
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      for (int i = 0; i < kAddsPerThread; ++i) {
+        serve::Json request = serve::Json::Object();
+        request.Set("op", serve::Json::Str("add_entity"));
+        request.Set("title", serve::Json::Str("zyqrace" + std::to_string(t) +
+                                              "x" + std::to_string(i)));
+        request.Set("types", types);
+        request.Set("relations", relations);
+        std::promise<std::string> promise;
+        std::future<std::string> future = promise.get_future();
+        sut.server->HandleLineFrom(
+            request.Dump(), loopback,
+            [&promise](std::string reply) { promise.set_value(std::move(reply)); });
+        const serve::Json reply = ParseReply(future.get());
+        if (reply.Find("ok") != nullptr && reply.Find("ok")->bool_value()) {
+          added.fetch_add(1);
+        }
+      }
+    });
+  }
+  for (std::thread& t : threads) t.join();
+
+  EXPECT_EQ(added.load(), kThreads * kAddsPerThread);
+  EXPECT_EQ(sut.engine->induced_entities(), kThreads * kAddsPerThread);
+  EXPECT_EQ(sut.engine->store_generation(), 1 + kThreads * kAddsPerThread);
+  ASSERT_EQ(sut.engine->kb().num_entities(), base + kThreads * kAddsPerThread);
+  for (int t = 0; t < kThreads; ++t) {
+    const kb::EntityId e = sut.engine->kb().FindByTitle(
+        "zyqrace" + std::to_string(t) + "x" + std::to_string(kAddsPerThread - 1));
+    ASSERT_NE(e, kb::kInvalidId);
+    EXPECT_EQ(sut.engine->kb().entity(e).types, shape.types);
+  }
 }
 
 }  // namespace

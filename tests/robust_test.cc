@@ -487,17 +487,5 @@ TEST_F(ExtractorEdgeCaseTest, OverlappingMatchesResolveLeftmostLongest) {
   EXPECT_EQ(mentions[1].span_start, 2);
 }
 
-TEST_F(ExtractorEdgeCaseTest, PredicateOverloadFiltersMatches) {
-  // The serving engine supplies a cache-backed predicate; a predicate that
-  // rejects multi-token aliases must fall back to the shorter matches.
-  const auto mentions = extractor_->Extract(
-      {"new", "york", "city"},
-      [](const std::string& alias) { return alias.find(' ') == std::string::npos; });
-  ASSERT_EQ(mentions.size(), 3u);
-  EXPECT_EQ(mentions[0].alias, "new");
-  EXPECT_EQ(mentions[1].alias, "york");
-  EXPECT_EQ(mentions[2].alias, "city");
-}
-
 }  // namespace
 }  // namespace bootleg

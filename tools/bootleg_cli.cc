@@ -22,12 +22,12 @@
 // `gen` writes a self-contained dataset directory (kb.bin, candidates.bin,
 // vocab.bin, corpus.bin); `train`/`eval`/`predict` work purely from those
 // files — no regeneration needed. A flag the subcommand does not know, an
-// integer flag that is not a whole number, an unknown --ablation, and
-// `train --resume` or `--checkpoint_every` without --checkpoint_dir all exit
-// 2 before any data loads.
+// integer flag that is not a whole number, an unknown --ablation,
+// `train --resume` or `--checkpoint_every` without --checkpoint_dir, and an
+// `induce --aliases` prior that is not one finite number all exit 2 before
+// any data loads.
 #include <chrono>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <filesystem>
 #include <optional>
@@ -86,18 +86,6 @@ bool LoadDataset(const std::string& dir, Dataset* ds) {
     }
   }
   return true;
-}
-
-/// The preset for an --ablation name (or a .meta sidecar); nullopt when
-/// the name is not full|ent|type|kg.
-std::optional<core::BootlegConfig> ConfigFor(const std::string& ablation) {
-  core::BootlegConfig config;
-  config.encoder.max_len = 32;
-  if (ablation == "ent") return core::BootlegConfig::EntOnly(config);
-  if (ablation == "type") return core::BootlegConfig::TypeOnly(config);
-  if (ablation == "kg") return core::BootlegConfig::KgOnly(config);
-  if (ablation == "full") return config;
-  return std::nullopt;
 }
 
 int CmdGen(const Flags& flags) {
@@ -162,7 +150,8 @@ int CmdTrain(const Flags& flags) {
   const std::string trace_out = flags.Get("trace_out");
   const bool weak_labels = !flags.Has("no-weak-labels");
   const std::string ablation = flags.Get("ablation", "full");
-  const std::optional<core::BootlegConfig> config = ConfigFor(ablation);
+  const std::optional<core::BootlegConfig> config =
+      core::AblationPreset(ablation);
   const auto seed = static_cast<uint64_t>(flags.GetInt("seed", 7));
   core::TrainOptions options;
   options.epochs = flags.GetInt("epochs", 5);
@@ -252,13 +241,9 @@ int CmdTrain(const Flags& flags) {
 /// Loads the model (construction config from the .meta sidecar).
 std::unique_ptr<core::BootlegModel> LoadModel(const Dataset& ds,
                                               const std::string& path) {
-  std::string ablation = "full";
-  auto meta = util::ReadTextFile(path + ".meta");
-  if (meta.ok()) {
-    const auto parts = util::Split(meta.value(), "\n");
-    if (!parts.empty()) ablation = parts[0];
-  }
-  const std::optional<core::BootlegConfig> config = ConfigFor(ablation);
+  const std::string ablation = core::ReadAblationMeta(path, "full");
+  const std::optional<core::BootlegConfig> config =
+      core::AblationPreset(ablation);
   if (!config.has_value()) {
     std::fprintf(stderr, "error: %s.meta names unknown ablation \"%s\"\n",
                  path.c_str(), ablation.c_str());
@@ -511,11 +496,26 @@ int CmdInduce(const Flags& flags) {
   const std::string model_path = flags.Get("model");
   const std::string dir = flags.Get("store");
   const std::string title = flags.Get("title");
-  const std::string coarse = flags.Get("coarse", "misc");
+  const std::string coarse = flags.Get("coarse", "miscellaneous");
   const std::string gender = flags.Get("gender", "n");
   const std::string types = flags.Get("types");
   const std::string relations = flags.Get("relations");
-  const std::string aliases = flags.Get("aliases");
+  // --aliases "alias=0.5,other alias=0.3" (prior optional, default 0.5)
+  std::vector<index::DeltaAlias> aliases;
+  for (const std::string& pair : util::Split(flags.Get("aliases"), ",")) {
+    index::DeltaAlias alias;
+    const size_t eq = pair.rfind('=');
+    alias.alias = pair.substr(0, eq);
+    if (eq != std::string::npos) {
+      double prior = 0.0;
+      if (!Flags::ParseDouble(pair.substr(eq + 1), &prior)) {
+        flags.Reject("--aliases needs alias[=prior] with a finite prior, got '" +
+                     pair + "'");
+      }
+      alias.prior = static_cast<float>(prior);
+    }
+    aliases.push_back(std::move(alias));
+  }
   if (BadFlags(flags)) return 2;
   if (dir.empty() || title.empty()) {
     std::fprintf(stderr, "induce requires --store DIR and --title TITLE\n");
@@ -587,18 +587,7 @@ int CmdInduce(const Flags& flags) {
     }
     spec.triples.push_back({rel, obj});
   }
-  // --aliases "alias=0.5,other alias=0.3" (prior optional, default 0.5)
-  for (const std::string& pair : util::Split(aliases, ",")) {
-    index::DeltaAlias alias;
-    const size_t eq = pair.rfind('=');
-    if (eq == std::string::npos) {
-      alias.alias = pair;
-    } else {
-      alias.alias = pair.substr(0, eq);
-      alias.prior = static_cast<float>(std::atof(pair.c_str() + eq + 1));
-    }
-    spec.aliases.push_back(std::move(alias));
-  }
+  spec.aliases = std::move(aliases);
   if (spec.aliases.empty()) spec.aliases.push_back({spec.title, 0.5f});
   spec.title_token_id = ds.vocab.Id(spec.title);
 

@@ -21,7 +21,6 @@
 //                 [--idle_timeout_ms N]  disconnect connections idle (no
 //                                     bytes, nothing in flight) this long;
 //                                     0 disables the reaper (default 0)
-//                 [--cache N]         candidate cache capacity      (default 4096)
 //                 [--resident_budget_mb M]  hot-set residency budget for the
 //                                     mapped store, in MiB (fractional ok).
 //                                     The popularity clock keeps the hottest
@@ -44,8 +43,9 @@
 //                 [--ablation A]      config preset when no .meta sidecar
 //                 [--no_trace]        disable per-stage trace spans
 //
-// Any other --flag is an error (exit 2): a typo or a retired flag must not
-// fall back to defaults silently. So is an integer flag whose value is not
+// Any other --flag is an error (exit 2): a typo or a retired flag
+// (--max_wait_us, --backend, --cache) must not fall back to defaults
+// silently. So is an integer flag whose value is not
 // a whole number (`--max_batch abc`).
 //
 // Protocol: newline-delimited JSON; ops disambiguate / disambiguate_text
@@ -100,8 +100,6 @@ int main(int argc, char** argv) {
   engine_options.checkpoint_dir = flags.Get("checkpoint_dir");
   engine_options.store_dir = flags.Get("store_dir");
   engine_options.ablation = flags.Get("ablation", "full");
-  engine_options.cache_capacity =
-      static_cast<size_t>(flags.GetInt("cache", 4096));
   // Fractional MiB so budgets below 1 MiB (tiny drill/test stores) work.
   engine_options.resident_budget_bytes = static_cast<int64_t>(
       flags.GetDouble("resident_budget_mb", 0.0) * 1024.0 * 1024.0);

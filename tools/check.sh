@@ -22,7 +22,7 @@
 #      drive it over stdin and TCP with concurrent clients (malformed lines
 #      included), assert stats are sane, hot-reload via SIGHUP, and verify a
 #      clean SIGTERM shutdown. An unknown or retired flag (--max_wait_us,
-#      --backend) and a non-integer integer flag must exit 2; so must
+#      --backend, --cache) and a non-integer integer flag must exit 2; so must
 #      `bootleg_cli train` with a non-integer --epochs, an unknown
 #      --ablation, a misspelled flag, or --resume without --checkpoint_dir,
 #      `gen --scale` or `eval --split` with a value outside its choices, and
@@ -35,7 +35,10 @@
 #   7. Embedding-store drill: export the trained model to a mmap store,
 #      verify every shard checksum, serve from the store, then export a new
 #      int8 generation and SIGHUP-swap it in under concurrent load — no
-#      request may drop, and stats must report the new generation.
+#      request may drop, and stats must report the new generation. On a copy
+#      of the float export, `bootleg_cli induce` with an --aliases prior that
+#      is not a number must exit 2 and publish nothing; a good one publishes
+#      generation 2, which must verify.
 #   8. Overload drill: hammer the epoll front end with ~10x more pipelined
 #      clients than the admission watermark admits, plus slowloris, dead
 #      readers and an over-cap request line. Every overflow request must get
@@ -228,6 +231,7 @@ bad_flag() {  # $1 = expected stderr text; remaining args = the bad flag
 }
 bad_flag 'unknown flag --max_wait_us' --max_wait_us 500
 bad_flag 'unknown flag --backend' --backend simd
+bad_flag 'unknown flag --cache' --cache 16
 bad_flag '--max_batch needs a whole number' --max_batch abc
 # bootleg_cli rejects the same mistakes before it loads any data.
 bad_train_flag() {  # $1 = expected stderr text; remaining args = the bad flag
@@ -360,6 +364,23 @@ echo "==> [7/11] store drill: export -> verify -> serve -> SIGHUP generation swa
   --out "$WORK/store/gen_000001" --quant float32 >/dev/null
 "$CLI" store --dir "$WORK/store" --verify >/dev/null \
   || { echo "FAIL: store verify failed"; exit 1; }
+
+# Offline induce onto a copy of the export. Each --aliases prior must be one
+# finite number: '0.3x' is refused before any load and publishes nothing.
+mkdir -p "$WORK/induce_store"
+cp -r "$WORK/store/gen_000001" "$WORK/induce_store/gen_000001"
+induce() {
+  "$CLI" induce --data "$WORK/data" --model "$WORK/ref.bin" \
+    --store "$WORK/induce_store" --title zzinduced "$@"
+}
+exits_2 "--aliases needs alias\[=prior\] with a finite prior, got 'zzinduced=0.3x'" \
+  induce --aliases zzinduced=0.3x
+[[ ! -e "$WORK/induce_store/gen_000002" ]] \
+  || { echo "FAIL: induce: a rejected --aliases published a generation"; exit 1; }
+induce --aliases zzinduced=0.5 | grep -q 'generation 2' \
+  || { echo "FAIL: induce: no generation 2 published"; exit 1; }
+"$CLI" store --dir "$WORK/induce_store" --verify >/dev/null \
+  || { echo "FAIL: induce: the induced generation failed verify"; exit 1; }
 
 "$SERVE" --data "$WORK/data" --model "$WORK/ref.bin" \
   --store_dir "$WORK/store" --port 0 2>"$WORK/serve_store.log" &

@@ -112,6 +112,16 @@ class Flags {
     if (bad_value_.empty()) bad_value_ = message;
   }
   bool Has(const std::string& key) const { return Find(key) != values_.end(); }
+  /// The strict number parse behind GetDouble: true when `text` as a whole
+  /// is one finite number (no trailing characters, no overflow). For tools
+  /// that read numbers out of a structured flag value.
+  static bool ParseDouble(const std::string& text, double* value) {
+    char* end = nullptr;
+    errno = 0;
+    *value = std::strtod(text.c_str(), &end);
+    return !text.empty() && *end == '\0' && errno != ERANGE &&
+           std::isfinite(*value);
+  }
   /// The first command-line error ("" if none): a flag that no getter has
   /// read, else the first value a getter or Reject() refused (an integer
   /// flag that is not a whole number, a number flag that is not a finite
@@ -128,13 +138,6 @@ class Flags {
       const std::string& key) const {
     read_.insert(key);
     return values_.find(key);
-  }
-  static bool ParseDouble(const std::string& text, double* value) {
-    char* end = nullptr;
-    errno = 0;
-    *value = std::strtod(text.c_str(), &end);
-    return !text.empty() && *end == '\0' && errno != ERANGE &&
-           std::isfinite(*value);
   }
 
   std::map<std::string, std::string> values_;

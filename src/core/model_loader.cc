@@ -14,7 +14,7 @@ namespace bootleg::core {
 util::Status LoadSnapshotOrInvalidate(const std::string& path,
                                       nn::ParameterStore* store) {
   const util::Status st = store->Load(path);
-  if (st.ok()) return st;
+  if (st.code() != util::StatusCode::kCorruption) return st;
   BOOTLEG_LOG(Warning) << "snapshot load failed (" << st.ToString()
                        << "); deleting corrupt snapshot " << path;
   std::error_code ec;
@@ -45,6 +45,21 @@ std::optional<BootlegConfig> AblationPreset(const std::string& ablation) {
   if (ablation == "kg") return BootlegConfig::KgOnly(config);
   if (ablation == "full") return config;
   return std::nullopt;
+}
+
+util::StatusOr<std::unique_ptr<BootlegModel>> LoadModelFile(
+    const kb::KnowledgeBase* kb, int64_t vocab_size, const std::string& path) {
+  const std::string ablation = ReadAblationMeta(path, "full");
+  const std::optional<BootlegConfig> config = AblationPreset(ablation);
+  if (!config.has_value()) {
+    return util::Status::InvalidArgument(path + ".meta names unknown ablation \"" +
+                                         ablation + "\"");
+  }
+  // The construction seed is irrelevant: the snapshot overwrites every weight.
+  auto model = std::make_unique<BootlegModel>(kb, vocab_size, *config,
+                                              /*seed=*/7);
+  BOOTLEG_RETURN_IF_ERROR(model->store().Load(path));
+  return model;
 }
 
 std::string ReadAblationMeta(const std::string& model_path,

@@ -42,8 +42,9 @@ Var Dropout::Apply(const Var& x, util::Rng* rng, bool train) const {
   const uint64_t threshold =
       static_cast<uint64_t>(static_cast<double>(p_) * 18446744073709551616.0);
   std::mt19937_64& engine = rng->engine();
-  for (float& m : mask.vec()) {
-    m = engine() < threshold ? 0.0f : keep_scale;
+  float* m = mask.data();
+  for (int64_t i = 0; i < mask.numel(); ++i) {
+    m[i] = engine() < threshold ? 0.0f : keep_scale;
   }
   return tensor::MulConst(x, mask);
 }

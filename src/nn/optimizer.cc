@@ -39,14 +39,14 @@ void Adam::SaveState(util::BinaryWriter* w) const {
   w->WriteU64(dense_.size());
   for (const DenseSlot& slot : dense_) {
     w->WriteString(slot.name);
-    w->WriteFloatVector(slot.m.vec());
-    w->WriteFloatVector(slot.v.vec());
+    w->WriteFloatVector(slot.m.data(), slot.m.numel());
+    w->WriteFloatVector(slot.v.data(), slot.v.numel());
   }
   w->WriteU64(sparse_.size());
   for (const SparseSlot& slot : sparse_) {
     w->WriteString(slot.name);
-    w->WriteFloatVector(slot.m.vec());
-    w->WriteFloatVector(slot.v.vec());
+    w->WriteFloatVector(slot.m.data(), slot.m.numel());
+    w->WriteFloatVector(slot.v.data(), slot.v.numel());
   }
   w->EndSection();
 }
@@ -72,16 +72,15 @@ util::Status Adam::LoadState(util::BinaryReader* r) {
   for (uint64_t i = 0; i < nd && r->status().ok(); ++i) {
     DenseSlot& slot = dense_[i];
     const std::string name = r->ReadString();
-    std::vector<float> m = r->ReadFloatVector();
-    std::vector<float> v = r->ReadFloatVector();
     if (!r->status().ok()) break;
-    if (name != slot.name ||
-        m.size() != static_cast<size_t>(slot.m.numel()) ||
-        v.size() != static_cast<size_t>(slot.v.numel())) {
+    if (name != slot.name) {
       return util::Status::Corruption("optimizer slot mismatch: " + name);
     }
-    slot.m.vec() = std::move(m);
-    slot.v.vec() = std::move(v);
+    if ((!r->ReadFloatVectorInto(slot.m.data(), slot.m.numel()) ||
+         !r->ReadFloatVectorInto(slot.v.data(), slot.v.numel())) &&
+        r->status().ok()) {
+      return util::Status::Corruption("optimizer slot mismatch: " + name);
+    }
   }
   const uint64_t ns = r->ReadU64();
   if (r->status().ok() && ns != sparse_.size()) {
@@ -90,16 +89,15 @@ util::Status Adam::LoadState(util::BinaryReader* r) {
   for (uint64_t i = 0; i < ns && r->status().ok(); ++i) {
     SparseSlot& slot = sparse_[i];
     const std::string name = r->ReadString();
-    std::vector<float> m = r->ReadFloatVector();
-    std::vector<float> v = r->ReadFloatVector();
     if (!r->status().ok()) break;
-    if (name != slot.name ||
-        m.size() != static_cast<size_t>(slot.m.numel()) ||
-        v.size() != static_cast<size_t>(slot.v.numel())) {
+    if (name != slot.name) {
       return util::Status::Corruption("optimizer slot mismatch: " + name);
     }
-    slot.m.vec() = std::move(m);
-    slot.v.vec() = std::move(v);
+    if ((!r->ReadFloatVectorInto(slot.m.data(), slot.m.numel()) ||
+         !r->ReadFloatVectorInto(slot.v.data(), slot.v.numel())) &&
+        r->status().ok()) {
+      return util::Status::Corruption("optimizer slot mismatch: " + name);
+    }
   }
   r->EndSection();
   BOOTLEG_RETURN_IF_ERROR(r->status());

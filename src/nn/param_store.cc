@@ -83,20 +83,6 @@ namespace {
 constexpr uint32_t kMagicV1 = 0xB0071E61;
 constexpr uint32_t kFormatVersion = 1;
 
-/// True iff `shape` is non-negative and its element count equals `n`,
-/// computed without integer overflow. Corrupt shape vectors must be rejected
-/// before Tensor's CHECK-based constructor can abort on them.
-bool ShapeMatchesCount(const std::vector<int64_t>& shape, uint64_t n) {
-  uint64_t prod = 1;
-  for (int64_t d : shape) {
-    if (d < 0) return false;
-    const auto ud = static_cast<uint64_t>(d);
-    if (ud != 0 && prod > n / ud) return false;  // prod * ud would exceed n
-    prod *= ud;
-  }
-  return prod == n;
-}
-
 }  // namespace
 
 void ParameterStore::SaveTo(util::BinaryWriter* w) const {
@@ -107,9 +93,8 @@ void ParameterStore::SaveTo(util::BinaryWriter* w) const {
   for (const std::string& name : param_order_) {
     const Var& v = params_.at(name);
     w->WriteString(name);
-    std::vector<int64_t> shape = v.value().shape();
-    w->WriteI64Vector(shape);
-    w->WriteFloatVector(v.value().vec());
+    w->WriteI64Vector(v.value().shape().ToVector());
+    w->WriteFloatVector(v.value().data(), v.value().numel());
   }
   w->EndSection();
   w->BeginSection();
@@ -119,7 +104,7 @@ void ParameterStore::SaveTo(util::BinaryWriter* w) const {
     w->WriteString(name);
     w->WriteI64(e->rows());
     w->WriteI64(e->cols());
-    w->WriteFloatVector(e->table().vec());
+    w->WriteFloatVector(e->table().data(), e->table().numel());
   }
   w->EndSection();
 }
@@ -134,23 +119,26 @@ util::Status ParameterStore::LoadFrom(util::BinaryReader* r) {
   }
   r->BeginSection();
   const uint64_t np = r->ReadU64();
+  // Values are read straight into the live tensors, so a load never holds a
+  // second copy of a table. Names and shapes are checked before the floats.
   for (uint64_t i = 0; i < np && r->status().ok(); ++i) {
     const std::string name = r->ReadString();
-    std::vector<int64_t> shape = r->ReadI64Vector();
-    std::vector<float> data = r->ReadFloatVector();
+    const std::vector<int64_t> shape = r->ReadI64Vector();
     if (!r->status().ok()) break;
     auto it = params_.find(name);
     if (it == params_.end()) {
       return util::Status::Corruption("checkpoint has unknown parameter: " + name);
     }
-    if (!ShapeMatchesCount(shape, data.size())) {
-      return util::Status::Corruption("inconsistent shape for parameter: " + name);
-    }
-    Tensor t(std::move(shape), std::move(data));
-    if (!t.SameShape(it->second.value())) {
+    // Compared as plain dims: a declared shape is never built into a
+    // tensor::Shape, whose rank is bounded.
+    Tensor& value = it->second.mutable_value();
+    if (shape != value.shape().ToVector()) {
       return util::Status::Corruption("shape mismatch for parameter: " + name);
     }
-    it->second.mutable_value() = std::move(t);
+    if (!r->ReadFloatVectorInto(value.data(), value.numel()) &&
+        r->status().ok()) {
+      return util::Status::Corruption("inconsistent shape for parameter: " + name);
+    }
   }
   r->EndSection();
   r->BeginSection();
@@ -159,18 +147,21 @@ util::Status ParameterStore::LoadFrom(util::BinaryReader* r) {
     const std::string name = r->ReadString();
     const int64_t rows = r->ReadI64();
     const int64_t cols = r->ReadI64();
-    std::vector<float> data = r->ReadFloatVector();
     if (!r->status().ok()) break;
     auto it = embeddings_.find(name);
     if (it == embeddings_.end()) {
       return util::Status::Corruption("checkpoint has unknown embedding: " + name);
     }
     Embedding* e = it->second.get();
-    if (rows != e->rows() || cols != e->cols() ||
-        !ShapeMatchesCount({rows, cols}, data.size())) {
+    if (rows != e->rows() || cols != e->cols()) {
       return util::Status::Corruption("shape mismatch for embedding: " + name);
     }
-    e->table() = Tensor({rows, cols}, std::move(data));
+    // A released table (ReleaseTable) is reallocated at its full shape.
+    if (e->table().numel() != rows * cols) e->table() = Tensor({rows, cols});
+    if (!r->ReadFloatVectorInto(e->table().data(), e->table().numel()) &&
+        r->status().ok()) {
+      return util::Status::Corruption("shape mismatch for embedding: " + name);
+    }
   }
   r->EndSection();
   return r->status();

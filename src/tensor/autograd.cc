@@ -1,7 +1,6 @@
 #include "tensor/autograd.h"
 
 #include <cmath>
-#include <unordered_set>
 
 #include "backend/tanh_kernels.h"
 
@@ -40,19 +39,24 @@ Var MakeOp(Tensor value, std::vector<Var> inputs, std::function<void(Node&)> bac
   return Var::FromNode(std::move(node));
 }
 
+/// Post-order of the op nodes reachable from `root` through inputs that
+/// require grad. Leaves are skipped: they have no backward to run, so the
+/// order of the op nodes is the same as a walk that includes them. Each
+/// visited node is marked in place; the caller clears the marks.
 void TopoSort(Node* root, std::vector<Node*>* order) {
-  // Iterative post-order DFS (graphs can be thousands of nodes deep).
-  std::unordered_set<Node*> visited;
-  std::vector<std::pair<Node*, size_t>> stack;
+  // Iterative DFS (graphs can be thousands of nodes deep), reusing the
+  // thread's stack storage across calls.
+  thread_local std::vector<std::pair<Node*, size_t>> stack;
+  stack.clear();
   stack.emplace_back(root, 0);
-  visited.insert(root);
+  root->visited = true;
   while (!stack.empty()) {
     auto& [node, idx] = stack.back();
     if (idx < node->inputs.size()) {
       Node* child = node->inputs[idx].get();
       ++idx;
-      if (child->requires_grad && !visited.count(child)) {
-        visited.insert(child);
+      if (child->requires_grad && child->backward && !child->visited) {
+        child->visited = true;
         stack.emplace_back(child, 0);
       }
     } else {
@@ -71,15 +75,16 @@ void Backward(const Var& loss) {
   Node* root = loss.node().get();
   root->EnsureGrad();
   root->grad.Fill(1.0f);
+  if (!root->backward) return;  // the loss is itself a leaf
 
-  std::vector<Node*> order;
+  thread_local std::vector<Node*> order;
+  order.clear();
   TopoSort(root, &order);
   // Post-order yields inputs before outputs; reverse for backprop.
   for (auto it = order.rbegin(); it != order.rend(); ++it) {
     Node* node = *it;
-    if (node->backward && !node->grad.empty()) {
-      node->backward(*node);
-    }
+    node->visited = false;
+    if (!node->grad.empty()) node->backward(*node);
   }
 }
 

@@ -22,6 +22,10 @@ struct Node {
   /// Accumulates input gradients from this node's grad. Set only when
   /// requires_grad is true and the op is differentiable.
   std::function<void(Node&)> backward;
+  /// Set by Backward while it walks this node's tape, and cleared before
+  /// it returns. Only op nodes are ever marked: leaves, which concurrent
+  /// workers' tapes share, are never written by the walk.
+  bool visited = false;
 
   void EnsureGrad() {
     if (grad.empty() && value.numel() > 0) grad = Tensor(value.shape());
@@ -80,7 +84,12 @@ class Var {
 };
 
 /// Runs reverse-mode autodiff from scalar `loss` (numel()==1), accumulating
-/// into the .grad of every reachable node with requires_grad.
+/// into the .grad of every reachable node with requires_grad. Op nodes run
+/// their backward in reverse post-order of a depth-first walk that visits
+/// each node's inputs in argument order, so a node shared by several
+/// consumers receives their gradients in a fixed order. Safe to call
+/// concurrently on tapes that share only leaves, each under its own
+/// GradScope.
 void Backward(const Var& loss);
 
 /// Row-id → gradient row. The sparse-gradient map type shared by embedding

@@ -1,18 +1,21 @@
 #include "tensor/tensor.h"
 
+#include <algorithm>
 #include <cmath>
 #include <cstring>
 #include <sstream>
+#include <utility>
 
 #include "backend/simd_kernels.h"
 #include "backend/simd_primitives.h"
 #include "backend/tanh_kernels.h"
+#include "tensor/storage.h"
 #include "util/thread_pool.h"
 
 namespace bootleg::tensor {
 
 namespace {
-int64_t NumelOf(const std::vector<int64_t>& shape) {
+int64_t NumelOf(const Shape& shape) {
   int64_t n = 1;
   for (int64_t d : shape) {
     BOOTLEG_CHECK_GE(d, 0);
@@ -243,30 +246,79 @@ bool SimdTilesActive() {
   return active;
 }
 
-Tensor::Tensor(std::vector<int64_t> shape) : shape_(std::move(shape)) {
-  data_.assign(static_cast<size_t>(NumelOf(shape_)), 0.0f);
+Shape::Shape(std::initializer_list<int64_t> dims) : rank_(dims.size()) {
+  BOOTLEG_CHECK_LE(rank_, kMaxRank);
+  std::copy(dims.begin(), dims.end(), dims_);
 }
 
-Tensor::Tensor(std::vector<int64_t> shape, std::vector<float> data)
-    : shape_(std::move(shape)), data_(std::move(data)) {
-  BOOTLEG_CHECK_EQ(NumelOf(shape_), static_cast<int64_t>(data_.size()));
+Tensor::Tensor(Shape shape)
+    : shape_(shape),
+      numel_(NumelOf(shape_)),
+      data_(storage::Allocate(numel_)) {
+  if (numel_ > 0) std::memset(data_, 0, sizeof(float) * numel_);
 }
 
-Tensor Tensor::Full(std::vector<int64_t> shape, float value) {
-  Tensor t(std::move(shape));
+Tensor::Tensor(Shape shape, const std::vector<float>& data)
+    : shape_(shape), numel_(NumelOf(shape_)) {
+  BOOTLEG_CHECK_EQ(numel_, static_cast<int64_t>(data.size()));
+  data_ = storage::Allocate(numel_);
+  if (numel_ > 0) std::memcpy(data_, data.data(), sizeof(float) * numel_);
+}
+
+Tensor::Tensor(const Tensor& other)
+    : shape_(other.shape_),
+      numel_(other.numel_),
+      data_(storage::Allocate(numel_)) {
+  if (numel_ > 0) std::memcpy(data_, other.data_, sizeof(float) * numel_);
+}
+
+Tensor::Tensor(Tensor&& other) noexcept
+    : shape_(std::exchange(other.shape_, Shape())),
+      numel_(std::exchange(other.numel_, 0)),
+      data_(std::exchange(other.data_, nullptr)) {}
+
+Tensor& Tensor::operator=(const Tensor& other) {
+  if (this == &other) return *this;
+  if (numel_ != other.numel_) {
+    storage::Release(data_, numel_);
+    numel_ = other.numel_;
+    data_ = storage::Allocate(numel_);
+  }
+  shape_ = other.shape_;
+  if (numel_ > 0) std::memcpy(data_, other.data_, sizeof(float) * numel_);
+  return *this;
+}
+
+Tensor& Tensor::operator=(Tensor&& other) noexcept {
+  if (this == &other) return *this;
+  storage::Release(data_, numel_);
+  shape_ = std::exchange(other.shape_, Shape());
+  numel_ = std::exchange(other.numel_, 0);
+  data_ = std::exchange(other.data_, nullptr);
+  return *this;
+}
+
+Tensor::~Tensor() { storage::Release(data_, numel_); }
+
+Tensor Tensor::Full(Shape shape, float value) {
+  Tensor t(shape);
   t.Fill(value);
   return t;
 }
 
-Tensor Tensor::Randn(std::vector<int64_t> shape, util::Rng* rng, float stddev) {
-  Tensor t(std::move(shape));
-  for (float& v : t.data_) v = static_cast<float>(rng->Normal(0.0, stddev));
+Tensor Tensor::Randn(Shape shape, util::Rng* rng, float stddev) {
+  Tensor t(shape);
+  for (int64_t i = 0; i < t.numel_; ++i) {
+    t.data_[i] = static_cast<float>(rng->Normal(0.0, stddev));
+  }
   return t;
 }
 
-Tensor Tensor::RandUniform(std::vector<int64_t> shape, util::Rng* rng, float limit) {
-  Tensor t(std::move(shape));
-  for (float& v : t.data_) v = static_cast<float>(rng->Uniform(-limit, limit));
+Tensor Tensor::RandUniform(Shape shape, util::Rng* rng, float limit) {
+  Tensor t(shape);
+  for (int64_t i = 0; i < t.numel_; ++i) {
+    t.data_[i] = static_cast<float>(rng->Uniform(-limit, limit));
+  }
   return t;
 }
 
@@ -276,19 +328,18 @@ Tensor Tensor::Eye(int64_t n) {
   return t;
 }
 
-Tensor Tensor::FromVector(std::vector<float> values) {
-  const int64_t n = static_cast<int64_t>(values.size());
-  return Tensor({n}, std::move(values));
+Tensor Tensor::FromVector(const std::vector<float>& values) {
+  return Tensor({static_cast<int64_t>(values.size())}, values);
 }
 
-Tensor Tensor::Reshape(std::vector<int64_t> shape) const {
+Tensor Tensor::Reshape(Shape shape) const {
   BOOTLEG_CHECK_EQ(NumelOf(shape), numel());
-  return Tensor(std::move(shape), data_);
+  Tensor t = *this;
+  t.shape_ = shape;
+  return t;
 }
 
-void Tensor::Fill(float value) {
-  for (float& v : data_) v = value;
-}
+void Tensor::Fill(float value) { std::fill(data_, data_ + numel_, value); }
 
 void Tensor::Add(const Tensor& other) {
   BOOTLEG_CHECK(SameShape(other));
@@ -309,12 +360,12 @@ void Tensor::Axpy(float alpha, const Tensor& other) {
 }
 
 void Tensor::Scale(float alpha) {
-  for (float& v : data_) v *= alpha;
+  for (int64_t i = 0; i < numel_; ++i) data_[i] *= alpha;
 }
 
 float Tensor::Sum() const {
   double acc = 0.0;
-  for (float v : data_) acc += v;
+  for (int64_t i = 0; i < numel_; ++i) acc += data_[i];
   return static_cast<float>(acc);
 }
 
@@ -329,7 +380,7 @@ std::string Tensor::ToString(int64_t max_elems) const {
   const int64_t n = std::min<int64_t>(numel(), max_elems);
   for (int64_t i = 0; i < n; ++i) {
     if (i > 0) ss << ", ";
-    ss << data_[static_cast<size_t>(i)];
+    ss << data_[i];
   }
   if (numel() > n) ss << ", ...";
   ss << "}";
@@ -750,14 +801,16 @@ int64_t ArgMax(const Tensor& a) {
 }
 
 float Norm(const Tensor& a) {
+  const float* p = a.data();
   double acc = 0.0;
-  for (float v : a.vec()) acc += static_cast<double>(v) * v;
+  for (int64_t i = 0; i < a.numel(); ++i) acc += static_cast<double>(p[i]) * p[i];
   return static_cast<float>(std::sqrt(acc));
 }
 
 bool AllFinite(const Tensor& a) {
-  for (float v : a.vec()) {
-    if (!std::isfinite(v)) return false;
+  const float* p = a.data();
+  for (int64_t i = 0; i < a.numel(); ++i) {
+    if (!std::isfinite(p[i])) return false;
   }
   return true;
 }

@@ -1,7 +1,10 @@
 #ifndef BOOTLEG_TENSOR_TENSOR_H_
 #define BOOTLEG_TENSOR_TENSOR_H_
 
+#include <algorithm>
+#include <cstddef>
 #include <cstdint>
+#include <initializer_list>
 #include <string>
 #include <vector>
 
@@ -10,76 +13,111 @@
 
 namespace bootleg::tensor {
 
+/// A tensor's dimensions, held inline: building or copying a Shape never
+/// touches the heap. The model builds rank 1 and rank 2 only; kMaxRank
+/// leaves headroom. Loaders compare a declared shape with ToVector(), so a
+/// file can never make them build a Shape of unsupported rank.
+class Shape {
+ public:
+  static constexpr size_t kMaxRank = 4;
+
+  Shape() = default;
+  /// CHECKs dims.size() <= kMaxRank.
+  Shape(std::initializer_list<int64_t> dims);
+
+  size_t size() const { return rank_; }
+  int64_t operator[](size_t axis) const { return dims_[axis]; }
+  const int64_t* begin() const { return dims_; }
+  const int64_t* end() const { return dims_ + rank_; }
+  std::vector<int64_t> ToVector() const { return {begin(), end()}; }
+
+  friend bool operator==(const Shape& a, const Shape& b) {
+    return a.rank_ == b.rank_ && std::equal(a.begin(), a.end(), b.begin());
+  }
+  friend bool operator!=(const Shape& a, const Shape& b) { return !(a == b); }
+
+ private:
+  int64_t dims_[kMaxRank] = {};
+  size_t rank_ = 0;
+};
+
 /// Dense row-major float tensor. This is the value type of the training
 /// substrate: all model math runs on 1-D and 2-D instances (per-sentence
 /// batching keeps higher ranks unnecessary). Copyable and movable; copies
-/// are deep.
+/// are deep. The shape lives inline and the floats come from the recycled
+/// per-thread storage of tensor/storage.h, so a small tensor costs no
+/// malloc once its thread has freed one of the same size class.
 class Tensor {
  public:
   Tensor() = default;
 
   /// Allocates a zero-filled tensor of the given shape.
-  explicit Tensor(std::vector<int64_t> shape);
+  explicit Tensor(Shape shape);
 
   /// Builds a tensor from explicit shape and data; sizes must agree.
-  Tensor(std::vector<int64_t> shape, std::vector<float> data);
+  Tensor(Shape shape, const std::vector<float>& data);
 
-  static Tensor Zeros(std::vector<int64_t> shape) { return Tensor(std::move(shape)); }
-  static Tensor Full(std::vector<int64_t> shape, float value);
-  static Tensor Ones(std::vector<int64_t> shape) { return Full(std::move(shape), 1.0f); }
+  Tensor(const Tensor& other);
+  Tensor(Tensor&& other) noexcept;
+  Tensor& operator=(const Tensor& other);
+  Tensor& operator=(Tensor&& other) noexcept;
+  ~Tensor();
+
+  static Tensor Zeros(Shape shape) { return Tensor(shape); }
+  static Tensor Full(Shape shape, float value);
+  static Tensor Ones(Shape shape) { return Full(shape, 1.0f); }
 
   /// Gaussian initialization with the given standard deviation.
-  static Tensor Randn(std::vector<int64_t> shape, util::Rng* rng, float stddev = 1.0f);
+  static Tensor Randn(Shape shape, util::Rng* rng, float stddev = 1.0f);
 
   /// Uniform initialization in [-limit, limit].
-  static Tensor RandUniform(std::vector<int64_t> shape, util::Rng* rng, float limit);
+  static Tensor RandUniform(Shape shape, util::Rng* rng, float limit);
 
   /// Identity matrix of size n×n.
   static Tensor Eye(int64_t n);
 
   /// 1-D tensor from values.
-  static Tensor FromVector(std::vector<float> values);
+  static Tensor FromVector(const std::vector<float>& values);
 
-  const std::vector<int64_t>& shape() const { return shape_; }
+  const Shape& shape() const { return shape_; }
   int64_t dim() const { return static_cast<int64_t>(shape_.size()); }
   int64_t size(int64_t axis) const {
     BOOTLEG_CHECK(axis >= 0 && axis < dim());
     return shape_[static_cast<size_t>(axis)];
   }
-  int64_t numel() const { return static_cast<int64_t>(data_.size()); }
-  bool empty() const { return data_.empty(); }
+  int64_t numel() const { return numel_; }
+  bool empty() const { return numel_ == 0; }
 
-  float* data() { return data_.data(); }
-  const float* data() const { return data_.data(); }
-  std::vector<float>& vec() { return data_; }
-  const std::vector<float>& vec() const { return data_; }
+  /// The numel() floats, row-major. Null when the tensor is empty.
+  float* data() { return data_; }
+  const float* data() const { return data_; }
 
   /// 1-D element access.
   float& at(int64_t i) {
     BOOTLEG_CHECK(i >= 0 && i < numel());
-    return data_[static_cast<size_t>(i)];
+    return data_[i];
   }
   float at(int64_t i) const {
     BOOTLEG_CHECK(i >= 0 && i < numel());
-    return data_[static_cast<size_t>(i)];
+    return data_[i];
   }
 
   /// 2-D element access; tensor must be rank 2.
   float& at(int64_t r, int64_t c) {
     BOOTLEG_CHECK_EQ(dim(), 2);
     BOOTLEG_CHECK(r >= 0 && r < shape_[0] && c >= 0 && c < shape_[1]);
-    return data_[static_cast<size_t>(r * shape_[1] + c)];
+    return data_[r * shape_[1] + c];
   }
   float at(int64_t r, int64_t c) const {
     BOOTLEG_CHECK_EQ(dim(), 2);
     BOOTLEG_CHECK(r >= 0 && r < shape_[0] && c >= 0 && c < shape_[1]);
-    return data_[static_cast<size_t>(r * shape_[1] + c)];
+    return data_[r * shape_[1] + c];
   }
 
   bool SameShape(const Tensor& other) const { return shape_ == other.shape_; }
 
   /// Returns a copy reshaped to `shape` (numel must be preserved).
-  Tensor Reshape(std::vector<int64_t> shape) const;
+  Tensor Reshape(Shape shape) const;
 
   /// In-place fill.
   void Fill(float value);
@@ -100,8 +138,9 @@ class Tensor {
   std::string ToString(int64_t max_elems = 8) const;
 
  private:
-  std::vector<int64_t> shape_;
-  std::vector<float> data_;
+  Shape shape_;
+  int64_t numel_ = 0;
+  float* data_ = nullptr;
 };
 
 // ---------------------------------------------------------------------------

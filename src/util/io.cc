@@ -116,8 +116,12 @@ void BinaryWriter::WriteRaw(const void* data, size_t n) {
 }
 
 void BinaryWriter::WriteFloatVector(const std::vector<float>& v) {
-  WriteU64(v.size());
-  WriteBytes(v.data(), v.size() * sizeof(float));
+  WriteFloatVector(v.data(), v.size());
+}
+
+void BinaryWriter::WriteFloatVector(const float* data, uint64_t n) {
+  WriteU64(n);
+  WriteBytes(data, n * sizeof(float));
 }
 
 void BinaryWriter::WriteI64Vector(const std::vector<int64_t>& v) {
@@ -232,6 +236,13 @@ std::vector<float> BinaryReader::ReadFloatVector() {
   std::vector<float> v(n);
   ReadBytes(v.data(), n * sizeof(float));
   return v;
+}
+
+bool BinaryReader::ReadFloatVectorInto(float* dst, uint64_t n) {
+  const uint64_t stored = ReadU64();
+  if (!BoundLength(stored, sizeof(float)) || stored != n) return false;
+  ReadBytes(dst, n * sizeof(float));
+  return status_.ok();
 }
 
 std::vector<int64_t> BinaryReader::ReadI64Vector() {

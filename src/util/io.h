@@ -75,6 +75,8 @@ class BinaryWriter {
   void WriteF64(double v);
   void WriteString(const std::string& s);
   void WriteFloatVector(const std::vector<float>& v);
+  /// The same length-prefixed layout, from `n` floats at `data`.
+  void WriteFloatVector(const float* data, uint64_t n);
   void WriteI64Vector(const std::vector<int64_t>& v);
 
   /// Unprefixed raw bytes (section checksums and fault injection apply).
@@ -122,6 +124,12 @@ class BinaryReader {
   std::string ReadString();
   std::vector<float> ReadFloatVector();
   std::vector<int64_t> ReadI64Vector();
+  /// Reads a float vector straight into `dst`, which holds `n` floats. If
+  /// the stored length is not `n`, nothing is read past the length prefix,
+  /// `dst` is untouched and false is returned with status() still OK (a
+  /// mismatch for the caller to name); false with status() set means the
+  /// file is corrupt or truncated.
+  bool ReadFloatVectorInto(float* dst, uint64_t n);
 
   /// Starts accumulating a checksum over subsequent reads.
   void BeginSection();

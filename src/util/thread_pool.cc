@@ -22,8 +22,10 @@ struct InTaskScope {
   ~InTaskScope() { t_in_task = prev; }
 };
 
+}  // namespace
+
 /// Completion state shared by one blocking dispatch.
-struct DispatchState {
+struct ThreadPool::DispatchState {
   std::atomic<int> remaining;
   std::mutex mu;
   std::condition_variable done;
@@ -37,8 +39,6 @@ struct DispatchState {
     }
   }
 };
-
-}  // namespace
 
 ThreadPool::ThreadPool(int num_threads) {
   const int spawn = num_threads > 1 ? num_threads - 1 : 0;
@@ -72,23 +72,28 @@ void ThreadPool::WorkerLoop() {
   }
 }
 
-void ThreadPool::HelpWhile(const std::function<bool()>& done) {
-  while (!done()) {
+void ThreadPool::Join(DispatchState* state) {
+  // Drain first: run whatever is queued (this dispatch's tasks or another
+  // caller's) so the dispatch completes even when every worker is busy.
+  for (;;) {
     std::function<void()> task;
     {
-      std::unique_lock<std::mutex> lock(mu_);
-      if (!queue_.empty()) {
-        task = std::move(queue_.front());
-        queue_.pop_front();
-      }
+      std::lock_guard<std::mutex> lock(mu_);
+      if (queue_.empty()) break;
+      task = std::move(queue_.front());
+      queue_.pop_front();
     }
-    if (task) {
-      InTaskScope scope;
-      task();
-    } else {
-      std::this_thread::yield();
-    }
+    InTaskScope scope;
+    task();
   }
+  // The queue is empty, so every task of this dispatch is running or done on
+  // some thread; sleep until the last one calls Finish. Finish decrements
+  // outside `mu` but takes `mu` before notifying, so the decrement to zero
+  // cannot fall between this predicate check and the wait.
+  std::unique_lock<std::mutex> lock(state->mu);
+  state->done.wait(lock, [state] {
+    return state->remaining.load(std::memory_order_acquire) == 0;
+  });
 }
 
 void ThreadPool::ParallelFor(int64_t begin, int64_t end, int64_t grain,
@@ -127,9 +132,7 @@ void ThreadPool::ParallelFor(int64_t begin, int64_t end, int64_t grain,
     InTaskScope scope;
     fn(begin, std::min(end, begin + chunk));
   }
-  HelpWhile([&state] {
-    return state->remaining.load(std::memory_order_acquire) == 0;
-  });
+  Join(state.get());
 }
 
 void ThreadPool::RunWorkers(int n, const std::function<void(int)>& fn) {
@@ -156,9 +159,7 @@ void ThreadPool::RunWorkers(int n, const std::function<void(int)>& fn) {
     InTaskScope scope;
     fn(0);
   }
-  HelpWhile([&state] {
-    return state->remaining.load(std::memory_order_acquire) == 0;
-  });
+  Join(state.get());
 }
 
 bool ThreadPool::InWorker() { return t_in_task; }

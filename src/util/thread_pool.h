@@ -51,6 +51,10 @@ class ThreadPool {
   /// helps drain the remaining tasks, so this works at any pool size. Used by
   /// the data-parallel trainer, where `worker` indexes gradient scopes and
   /// forked RNGs.
+  ///
+  /// Both blocking primitives end the same way: once the queue is empty the
+  /// caller sleeps on the dispatch's completion condition variable until the
+  /// last task finishes, so a caller that finishes early burns no CPU.
   void RunWorkers(int n, const std::function<void(int)>& fn);
 
   /// True on a thread currently executing a pool task (used to run nested
@@ -84,10 +88,14 @@ class ThreadPool {
   static int EnvThreads();
 
  private:
+  /// Completion state shared by one blocking dispatch.
+  struct DispatchState;
+
   void WorkerLoop();
-  /// Pops and runs queued tasks until `remaining` hits zero. The caller's
-  /// share of a blocking dispatch: guarantees progress with zero workers.
-  void HelpWhile(const std::function<bool()>& done);
+  /// The caller's share of a blocking dispatch after its own chunk: runs
+  /// queued tasks until the queue is empty (progress with zero free
+  /// workers), then sleeps until every task of `state` has finished.
+  void Join(DispatchState* state);
 
   std::vector<std::thread> workers_;
   std::mutex mu_;

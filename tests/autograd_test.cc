@@ -1,6 +1,7 @@
 #include "tensor/autograd.h"
 
 #include <cmath>
+#include <thread>
 
 #include <gtest/gtest.h>
 
@@ -9,9 +10,9 @@
 namespace bootleg::tensor {
 namespace {
 
-Var Leaf(std::vector<int64_t> shape, uint64_t seed, float stddev = 1.0f) {
+Var Leaf(Shape shape, uint64_t seed, float stddev = 1.0f) {
   util::Rng rng(seed);
-  return Var::Leaf(Tensor::Randn(std::move(shape), &rng, stddev), true);
+  return Var::Leaf(Tensor::Randn(shape, &rng, stddev), true);
 }
 
 TEST(AutogradTest, LeafProperties) {
@@ -121,6 +122,66 @@ TEST(AutogradTest, InferenceGraphRecordsNoBackward) {
   EXPECT_FALSE(out.requires_grad());
 }
 
+TEST(AutogradTest, SharedInputAccumulatesInReversePostOrder) {
+  // h feeds three consumers whose gradients into h are 1e8, -1e8 and 1, in
+  // an order float addition can tell apart: only (-1e8 + 1e8) + 1 keeps the
+  // 1. Backward walks depth-first from the loss, inputs in argument order
+  // (loss, s2, s1, a, h, then b, then c), and runs nodes in reverse
+  // post-order: c, then b, then a add into h. Reverse creation order (a, c,
+  // b) or a walk over inputs last-to-first (a, b, c) would give 0.
+  Var x = Var::Leaf(Tensor::FromVector({1.0f}), true);
+  Var h = Scale(x, 1.0f);
+  Var b = Scale(h, 1e8f);
+  Var c = Scale(h, -1e8f);
+  Var a = Scale(h, 1.0f);
+  Var s1 = Add(a, b);
+  Var s2 = Add(s1, c);
+  Backward(Sum(s2));
+  EXPECT_EQ(x.grad().at(0), 1.0f);
+}
+
+TEST(AutogradTest, ConcurrentBackwardOnTapesSharingParameterLeaves) {
+  // Two workers differentiate their own tapes over the same parameter
+  // leaves, each into a private GradScope, as the data-parallel trainer
+  // does; the walk must never write the shared leaves.
+  Var w = Leaf({8, 8}, 11, 0.5f);
+  Var bias = Leaf({8}, 12, 0.5f);
+  Var table = Leaf({16, 8}, 13, 0.5f);
+  const auto run = [&](int worker, GradScope* scope) {
+    GradScope::Activation act(scope);
+    for (int step = 0; step < 40; ++step) {
+      Var x = Var::Constant(
+          Tensor::Full({4, 8}, 0.01f * static_cast<float>(worker + step)));
+      Var rows = GatherRows(table, {step % 16, (step + worker) % 16, 3, 3});
+      Var y = TanhV(AddRowBroadcast(MatMul(Add(x, rows), w), bias));
+      Backward(Mean(y));
+    }
+  };
+  std::vector<GradScope> threaded(2);
+  std::thread t0(run, 0, &threaded[0]);
+  std::thread t1(run, 1, &threaded[1]);
+  t0.join();
+  t1.join();
+  for (GradScope& scope : threaded) scope.ReduceInto();
+  const Tensor threaded_w = w.grad();
+  const Tensor threaded_table = table.grad();
+
+  w.ZeroGrad();
+  bias.ZeroGrad();
+  table.ZeroGrad();
+  std::vector<GradScope> serial(2);
+  run(0, &serial[0]);
+  run(1, &serial[1]);
+  for (GradScope& scope : serial) scope.ReduceInto();
+  ASSERT_EQ(threaded_w.numel(), w.grad().numel());
+  for (int64_t i = 0; i < w.grad().numel(); ++i) {
+    ASSERT_EQ(threaded_w.at(i), w.grad().at(i));
+  }
+  for (int64_t i = 0; i < table.grad().numel(); ++i) {
+    ASSERT_EQ(threaded_table.at(i), table.grad().at(i));
+  }
+}
+
 // ---------------------------------------------------------------------------
 // Finite-difference gradient checks for every differentiable op. These are
 // the property tests certifying the autograd engine.
@@ -130,7 +191,7 @@ using LossFn = std::function<Var(const std::vector<Var>&)>;
 
 struct GradCase {
   const char* name;
-  std::vector<std::vector<int64_t>> shapes;
+  std::vector<Shape> shapes;
   LossFn loss;
 };
 

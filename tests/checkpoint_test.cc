@@ -16,6 +16,7 @@
 
 #include "core/checkpoint.h"
 #include "core/model.h"
+#include "core/model_loader.h"
 #include "core/trainer.h"
 #include "data/generator.h"
 #include "data/weak_label.h"
@@ -31,6 +32,11 @@ namespace bootleg {
 namespace {
 
 namespace fs = std::filesystem;
+
+/// A tensor's floats as a vector, for whole-tensor equality checks.
+std::vector<float> Values(const tensor::Tensor& t) {
+  return {t.data(), t.data() + t.numel()};
+}
 using tensor::Tensor;
 using tensor::Var;
 using util::ThreadPool;
@@ -116,12 +122,12 @@ TEST(AdamStateTest, SaveLoadRoundtripContinuesBitIdentically) {
   drive(&s1, &a1, 7);
   drive(&s2, &a2_fresh, 7);
   for (const std::string& name : {"w", "b"}) {
-    const auto& v1 = s1.GetParam(name).value().vec();
-    const auto& v2 = s2.GetParam(name).value().vec();
-    EXPECT_EQ(v1, v2) << name;
+    EXPECT_EQ(Values(s1.GetParam(name).value()),
+              Values(s2.GetParam(name).value()))
+        << name;
   }
-  EXPECT_EQ(s1.GetEmbedding("emb")->table().vec(),
-            s2.GetEmbedding("emb")->table().vec());
+  EXPECT_EQ(Values(s1.GetEmbedding("emb")->table()),
+            Values(s2.GetEmbedding("emb")->table()));
 }
 
 TEST(AdamStateTest, LoadRejectsMismatchedLayout) {
@@ -214,8 +220,8 @@ TEST(CheckpointFileTest, WriteReadRoundtripAndRetainPruning) {
   EXPECT_EQ(loaded.master_rng, state.master_rng);
   EXPECT_EQ(loaded.worker_rngs, state.worker_rngs);
   EXPECT_EQ(loaded.order, state.order);
-  EXPECT_EQ(loaded_store.GetParam("w").value().vec(),
-            store.GetParam("w").value().vec());
+  EXPECT_EQ(Values(loaded_store.GetParam("w").value()),
+            Values(store.GetParam("w").value()));
 }
 
 TEST(CheckpointFileTest, RecoverySkipsCorruptNewestCheckpoint) {
@@ -293,8 +299,8 @@ TEST(FaultInjectionTest, CommitFailureLeavesOldFileIntact) {
   nn::ParameterStore loaded;
   loaded.CreateParam("w", Tensor::Zeros({4, 4}));
   ASSERT_TRUE(loaded.Load(path).ok());
-  EXPECT_EQ(loaded.GetParam("w").value().vec(),
-            old_store.GetParam("w").value().vec());
+  EXPECT_EQ(Values(loaded.GetParam("w").value()),
+            Values(old_store.GetParam("w").value()));
 }
 
 TEST(FaultInjectionTest, ByteFlipIsCaughtBySectionChecksum) {
@@ -316,6 +322,56 @@ TEST(FaultInjectionTest, ByteFlipIsCaughtBySectionChecksum) {
   const util::Status st = loaded.Load(path);
   EXPECT_FALSE(st.ok());
   EXPECT_EQ(st.code(), util::StatusCode::kCorruption);
+}
+
+// --- User model files ----------------------------------------------------------
+
+std::string FileBytes(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  return std::string(std::istreambuf_iterator<char>(in),
+                     std::istreambuf_iterator<char>());
+}
+
+TEST(ModelFileTest, MismatchedMetaFailsAndKeepsTheModelFile) {
+  data::SynthConfig config = data::SynthConfig::MicroScale();
+  config.num_entities = 60;
+  config.num_pages = 10;
+  const data::SynthWorld world = data::BuildWorld(config);
+  const std::string dir = TestDir("model_file");
+  const std::string path = dir + "/m.bin";
+  core::BootlegModel full(&world.kb, world.vocab.size(),
+                          *core::AblationPreset("full"), /*seed=*/3);
+  ASSERT_TRUE(full.store().Save(path).ok());
+  const std::string saved = FileBytes(path);
+
+  // A sidecar naming another preset than the snapshot was trained with.
+  ASSERT_TRUE(util::WriteTextFile(path + ".meta", "ent\n").ok());
+  const auto mismatched =
+      core::LoadModelFile(&world.kb, world.vocab.size(), path);
+  EXPECT_FALSE(mismatched.ok());
+  ASSERT_TRUE(fs::exists(path));
+  EXPECT_EQ(FileBytes(path), saved);
+
+  ASSERT_TRUE(util::WriteTextFile(path + ".meta", "full\n").ok());
+  const auto loaded = core::LoadModelFile(&world.kb, world.vocab.size(), path);
+  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+  const std::string name = full.store().param_names().front();
+  EXPECT_EQ(Values(loaded.value()->store().GetParam(name).value()),
+            Values(full.store().GetParam(name).value()));
+
+  // A missing file is not corruption: nothing to invalidate.
+  nn::ParameterStore& store = loaded.value()->store();
+  EXPECT_NE(core::LoadSnapshotOrInvalidate(dir + "/missing.bin", &store).code(),
+            util::StatusCode::kCorruption);
+  // A truncated snapshot is: the rebuildable cache file is deleted.
+  const std::string torn = dir + "/torn.bin";
+  {
+    std::ofstream out(torn, std::ios::binary);
+    out << saved.substr(0, saved.size() / 2);
+  }
+  EXPECT_EQ(core::LoadSnapshotOrInvalidate(torn, &store).code(),
+            util::StatusCode::kCorruption);
+  EXPECT_FALSE(fs::exists(torn));
 }
 
 // --- Resume equivalence ------------------------------------------------------
@@ -358,12 +414,12 @@ class CheckpointTrainTest : public ::testing::Test {
   static std::vector<float> StoreDigest(nn::ParameterStore& store) {
     std::vector<float> out;
     for (const std::string& name : store.param_names()) {
-      const auto& v = store.GetParam(name).value().vec();
-      out.insert(out.end(), v.begin(), v.end());
+      const tensor::Tensor& v = store.GetParam(name).value();
+      out.insert(out.end(), v.data(), v.data() + v.numel());
     }
     for (const std::string& name : store.embedding_names()) {
-      const auto& v = store.GetEmbedding(name)->table().vec();
-      out.insert(out.end(), v.begin(), v.end());
+      const tensor::Tensor& v = store.GetEmbedding(name)->table();
+      out.insert(out.end(), v.data(), v.data() + v.numel());
     }
     return out;
   }

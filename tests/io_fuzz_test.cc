@@ -161,6 +161,35 @@ TEST(IoFuzzTest, HugeLengthPrefixIsBoundedByFileSize) {
   EXPECT_EQ(ri.status().code(), util::StatusCode::kCorruption);
 }
 
+TEST(IoFuzzTest, UnsupportedRankIsCorruption) {
+  // A checksummed, well-formed snapshot whose one parameter declares rank 5.
+  // Tensors hold their shape inline, up to Shape::kMaxRank dims, and a Shape
+  // CHECKs its rank: the loader must report corruption, never build one.
+  nn::ParameterStore store;
+  util::Rng rng(6);
+  store.CreateParam("w", Tensor::Randn({2, 3}, &rng));
+  const std::vector<int64_t> shape = {1, 1, 1, 2, 3};
+  ASSERT_GT(shape.size(), tensor::Shape::kMaxRank);
+  const std::string path = FuzzDir() + "/rank5_store.bin";
+  {
+    util::BinaryWriter w(path);
+    w.WriteU32(0xB0071E61);  // v1 ParameterStore magic
+    w.WriteU32(1);           // format version
+    w.BeginSection();
+    w.WriteU64(1);
+    w.WriteString("w");
+    w.WriteI64Vector(shape);
+    w.WriteFloatVector(std::vector<float>(6, 0.5f));
+    w.EndSection();
+    w.BeginSection();
+    w.WriteU64(0);  // no embeddings
+    w.EndSection();
+    w.WriteFooter();
+    ASSERT_TRUE(w.Finish().ok());
+  }
+  EXPECT_EQ(store.Load(path).code(), util::StatusCode::kCorruption);
+}
+
 TEST(IoFuzzTest, LegacyV0FilesFailAsCorruption) {
   // The unchecksummed v0 layouts are no longer read: a well-formed v0 file
   // has no checksum to vouch for its bytes, so it must fail as corruption

@@ -5,11 +5,14 @@
 // evaluation.
 
 #include <atomic>
+#include <chrono>
 #include <cstdlib>
 #include <cstring>
+#include <ctime>
 #include <filesystem>
 #include <memory>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -76,9 +79,60 @@ TEST(ThreadPoolTest, RunWorkersRunsEveryWorkerIndex) {
   ThreadPool pool(3);
   std::vector<std::atomic<int>> ran(8);
   for (auto& r : ran) r.store(0);
-  // More workers than pool threads: the caller help-drains the queue.
+  // More workers than pool threads: the caller drains the queue.
   pool.RunWorkers(8, [&](int w) { ran[static_cast<size_t>(w)]++; });
   for (const auto& r : ran) EXPECT_EQ(r.load(), 1);
+}
+
+double ThreadCpuMs() {
+  timespec ts{};
+  clock_gettime(CLOCK_THREAD_CPUTIME_ID, &ts);
+  return static_cast<double>(ts.tv_sec) * 1e3 +
+         static_cast<double>(ts.tv_nsec) / 1e6;
+}
+
+TEST(ThreadPoolTest, CallerSleepsWhileAWorkerFinishes) {
+  ThreadPool pool(2);
+  std::atomic<bool> taken{false};
+  const double cpu_before = ThreadCpuMs();
+  pool.RunWorkers(2, [&](int w) {
+    if (w == 1) {
+      taken.store(true);
+      std::this_thread::sleep_for(std::chrono::milliseconds(50));
+      return;
+    }
+    // Worker 0 runs on the caller: finish only once the pool thread holds
+    // worker 1, so the rest of the call is the caller waiting for it.
+    while (!taken.load()) {
+      std::this_thread::sleep_for(std::chrono::microseconds(100));
+    }
+  });
+  // A caller that spun until worker 1 returned would burn ~50 ms here.
+  EXPECT_LT(ThreadCpuMs() - cpu_before, 10.0);
+}
+
+TEST(ThreadPoolTest, ConcurrentCallersShareOnePool) {
+  // Serving batch workers are not pool threads: each dispatches its large
+  // kernels onto the one global pool, possibly at the same time.
+  ThreadPool pool(4);
+  constexpr int64_t kN = 4096;
+  constexpr int kRounds = 50;
+  std::vector<std::vector<int>> hits(2, std::vector<int>(kN, 0));
+  const auto dispatch = [&](size_t caller) {
+    std::vector<int>& mine = hits[caller];
+    for (int r = 0; r < kRounds; ++r) {
+      pool.ParallelFor(0, kN, /*grain=*/64, [&mine](int64_t lo, int64_t hi) {
+        for (int64_t i = lo; i < hi; ++i) ++mine[static_cast<size_t>(i)];
+      });
+    }
+  };
+  std::thread a(dispatch, 0);
+  std::thread b(dispatch, 1);
+  a.join();
+  b.join();
+  for (const std::vector<int>& mine : hits) {
+    for (int h : mine) ASSERT_EQ(h, kRounds);
+  }
 }
 
 TEST(ThreadPoolTest, EnvThreadsParsesEnvironment) {
@@ -313,12 +367,12 @@ class ParallelTrainTest : public ::testing::Test {
   static std::vector<float> StoreDigest(nn::ParameterStore& store) {
     std::vector<float> out;
     for (const std::string& name : store.param_names()) {
-      const auto& v = store.GetParam(name).value().vec();
-      out.insert(out.end(), v.begin(), v.end());
+      const tensor::Tensor& v = store.GetParam(name).value();
+      out.insert(out.end(), v.data(), v.data() + v.numel());
     }
     for (const std::string& name : store.embedding_names()) {
-      const auto& v = store.GetEmbedding(name)->table().vec();
-      out.insert(out.end(), v.begin(), v.end());
+      const tensor::Tensor& v = store.GetEmbedding(name)->table();
+      out.insert(out.end(), v.data(), v.data() + v.numel());
     }
     return out;
   }

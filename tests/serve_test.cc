@@ -1112,8 +1112,10 @@ TEST(ServeHotReloadTest, PicksNewestCheckpointAndSkipsCorruptOne) {
     core::BootlegModel want(&sw.world.kb, sw.world.vocab.size(),
                             ServingConfig(), /*seed=*/999);
     const std::string name = engine.model().store().param_names().front();
-    EXPECT_EQ(engine.model().store().GetParam(name).value().vec(),
-              want.store().GetParam(name).value().vec());
+    const tensor::Tensor& got = engine.model().store().GetParam(name).value();
+    const tensor::Tensor& expect = want.store().GetParam(name).value();
+    EXPECT_EQ(std::vector<float>(got.data(), got.data() + got.numel()),
+              std::vector<float>(expect.data(), expect.data() + expect.numel()));
   }
   core::BootlegModel::InferenceScratch scratch;
   const std::vector<serve::SentenceResult> after_swap =

@@ -1,8 +1,18 @@
 #include "tensor/tensor.h"
 
+#include <malloc.h>
+
 #include <cmath>
+#include <thread>
+#include <vector>
 
 #include <gtest/gtest.h>
+
+#include "tensor/storage.h"
+
+#if defined(__SANITIZE_ADDRESS__)
+#include <sanitizer/lsan_interface.h>
+#endif
 
 namespace bootleg::tensor {
 namespace {
@@ -271,6 +281,122 @@ INSTANTIATE_TEST_SUITE_P(Shapes, MatMulShapeTest,
                                            std::make_tuple(5, 1, 7),
                                            std::make_tuple(8, 8, 8),
                                            std::make_tuple(1, 16, 2)));
+
+// --- Recycled storage ----------------------------------------------------
+// Each test runs its allocations on a fresh thread, whose cache starts empty.
+
+TEST(TensorStorageTest, BurstOfFreesStaysUnderTheThreadCap) {
+  std::thread([] {
+    std::vector<Tensor> live;
+    int64_t bytes = 0;
+    for (int i = 0; bytes < 3 * storage::kThreadCacheBytes; ++i) {
+      const int64_t numel = storage::kMinClassFloats << (i % 10);
+      live.emplace_back(Shape{numel});
+      bytes += numel * static_cast<int64_t>(sizeof(float));
+    }
+    EXPECT_EQ(storage::ThreadCachedBytes(), 0);
+    while (!live.empty()) {
+      live.pop_back();
+      ASSERT_LE(storage::ThreadCachedBytes(), storage::kThreadCacheBytes);
+    }
+    EXPECT_GT(storage::ThreadCachedBytes(), storage::kThreadCacheBytes / 2);
+    // Parked blocks serve new tensors, zero-filled like fresh ones.
+    const int64_t parked = storage::ThreadCachedBytes();
+    Tensor reused({32, 32});
+    EXPECT_LT(storage::ThreadCachedBytes(), parked);
+    for (int64_t i = 0; i < reused.numel(); ++i) ASSERT_EQ(reused.at(i), 0.0f);
+  }).join();
+}
+
+TEST(TensorStorageTest, TensorBuiltOnOneThreadIsDestroyedOnAnother) {
+  std::vector<Tensor> made;
+  std::thread([&made] {
+    for (int i = 0; i < 64; ++i) {
+      made.push_back(Tensor::Full({i + 1, 8}, static_cast<float>(i)));
+    }
+  }).join();
+  std::thread([&made] {
+    for (size_t i = 0; i < made.size(); ++i) {
+      ASSERT_EQ(made[i].at(static_cast<int64_t>(i), 7), static_cast<float>(i));
+    }
+    made.clear();  // the blocks join this thread's cache
+    EXPECT_GT(storage::ThreadCachedBytes(), 0);
+  }).join();
+}
+
+TEST(TensorStorageTest, ThreadCacheIsReleasedAtThreadExit) {
+  const size_t in_use_before = mallinfo2().uordblks;
+  int64_t parked = 0;
+  std::thread([&parked] {
+    {
+      std::vector<Tensor> tensors;
+      for (int i = 0; i < 256; ++i) tensors.emplace_back(Shape{1024});
+    }
+    parked = storage::ThreadCachedBytes();
+  }).join();
+  EXPECT_EQ(parked, 256 * 1024 * static_cast<int64_t>(sizeof(float)));
+#if defined(__SANITIZE_ADDRESS__)
+  // Blocks still parked after the thread is gone would be unreachable.
+  EXPECT_EQ(__lsan_do_recoverable_leak_check(), 0);
+#elif !defined(__SANITIZE_THREAD__)
+  const auto grown = static_cast<int64_t>(mallinfo2().uordblks) -
+                     static_cast<int64_t>(in_use_before);
+  EXPECT_LT(grown, parked / 4);
+#endif
+  (void)in_use_before;
+}
+
+/// A thread_local constructed before its thread's cache, so destroyed after
+/// it: the block it frees then must go to the heap.
+struct LateTensor {
+  Tensor tensor;
+  int64_t* parked_after_release = nullptr;
+
+  LateTensor() = default;
+  LateTensor(const LateTensor&) = delete;
+  LateTensor& operator=(const LateTensor&) = delete;
+  ~LateTensor() {
+    tensor = Tensor();
+    *parked_after_release = storage::ThreadCachedBytes();
+  }
+};
+
+TEST(TensorStorageTest, BlockFreedAfterItsThreadCacheGoesToTheHeap) {
+  int64_t parked_after_release = -1;
+  std::thread([&parked_after_release] {
+    thread_local LateTensor late;
+    late.parked_after_release = &parked_after_release;
+    late.tensor = Tensor({64});  // the first allocation creates the cache
+  }).join();
+  EXPECT_EQ(parked_after_release, 0);
+}
+
+// Destroyed by the static destructors at exit, after the main thread's
+// cache: its block goes to the heap (under ASan, anything else reports).
+Tensor g_static_tensor;
+
+TEST(TensorStorageTest, StaticTensorOutlivesTheMainThreadCache) {
+  g_static_tensor = Tensor::Full({256}, 2.0f);
+  EXPECT_EQ(g_static_tensor.Sum(), 512.0f);
+}
+
+#if defined(__SANITIZE_ADDRESS__)
+TEST(TensorStorageDeathTest, ReadThroughAFreedTensorReports) {
+  ::testing::GTEST_FLAG(death_test_style) = "threadsafe";
+  EXPECT_DEATH(
+      {
+        const float* stale = nullptr;
+        {
+          Tensor t({64});
+          stale = t.data();
+        }
+        // The block is parked in this thread's cache, poisoned.
+        volatile float v = stale[3];
+        (void)v;
+      },
+      "use-after-poison");
+}
+#endif
 
 }  // namespace
 }  // namespace bootleg::tensor

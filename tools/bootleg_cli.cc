@@ -238,26 +238,16 @@ int CmdTrain(const Flags& flags) {
   return 0;
 }
 
-/// Loads the model (construction config from the .meta sidecar).
+/// Loads the model (construction config from the .meta sidecar). A failed
+/// load is reported and the user's file left in place.
 std::unique_ptr<core::BootlegModel> LoadModel(const Dataset& ds,
                                               const std::string& path) {
-  const std::string ablation = core::ReadAblationMeta(path, "full");
-  const std::optional<core::BootlegConfig> config =
-      core::AblationPreset(ablation);
-  if (!config.has_value()) {
-    std::fprintf(stderr, "error: %s.meta names unknown ablation \"%s\"\n",
-                 path.c_str(), ablation.c_str());
+  auto model = core::LoadModelFile(&ds.kb, ds.vocab.size(), path);
+  if (!model.ok()) {
+    std::fprintf(stderr, "error: %s\n", model.status().ToString().c_str());
     return nullptr;
   }
-  auto model = std::make_unique<core::BootlegModel>(
-      &ds.kb, ds.vocab.size(), *config, /*seed=*/7);
-  const util::Status status =
-      core::LoadSnapshotOrInvalidate(path, &model->store());
-  if (!status.ok()) {
-    std::fprintf(stderr, "error: %s\n", status.ToString().c_str());
-    return nullptr;
-  }
-  return model;
+  return std::move(model).value();
 }
 
 int CmdEval(const Flags& flags) {

@@ -4,15 +4,18 @@
 #
 #   1. Release build + complete ctest suite (tier-1 gate).
 #   2. ASan build: corruption fuzzing, checkpoint/resume, io, parallel,
-#      serve, the kernel path, and the model (core_test: the value forward
-#      against the tape forward in every config); UBSan build: serve + net
-#      (request parsing, batching and framing of untrusted bytes), io
+#      serve, the kernel path, the model (core_test: the value forward
+#      against the tape forward in every config), and the tensor, autograd
+#      and layer tests, whose recycled tensor storage poisons parked blocks
+#      (a read through a freed tensor must still report); UBSan build: serve
+#      + net (request parsing, batching and framing of untrusted bytes), io
 #      fuzzing, the index and raw-text robustness, and the tensor kernels
 #      (the probe still runs the SIMD tiles there, on its shapes, before
-#      rejecting them at -O1), the kernel path, whose vector tanh runs at
-#      -O1 too, and the model.
+#      rejecting them at -O1), autograd, the kernel path, whose vector tanh
+#      runs at -O1 too, and the model.
 #   3. TSan build: checkpointed data-parallel training + parallel + serve +
-#      the kernel path + the model.
+#      the kernel path + the model + tensor storage handed across threads
+#      and concurrent backward walks over shared parameter leaves.
 #   4. CLI crash-recovery drill, at 1 and at 2 threads: train with
 #      checkpointing, kill the run mid-checkpoint-write via fault injection
 #      (leaving a torn temp file), corrupt the newest checkpoint, resume, and
@@ -27,7 +30,8 @@
 #      --ablation, a misspelled flag, or --resume without --checkpoint_dir,
 #      `gen --scale` or `eval --split` with a value outside its choices, and
 #      `eval --noise_rates` or `--overshadow_prior` with a value that is not
-#      one finite number in its range.
+#      one finite number in its range. `eval` of a model whose .meta sidecar
+#      names another preset must fail and leave the model file unchanged.
 #   6. Observability self-check: metrics/trace unit tests, the stats op must
 #      export the metrics registry (queue-wait histogram included) and
 #      per-stage spans covering a request end to end, and `train --trace_out`
@@ -90,10 +94,12 @@ if [[ "$SKIP_SAN" == "0" ]]; then
   cmake --build build-asan -j"$JOBS" \
     --target io_fuzz_test checkpoint_test util_test robustness_test \
              parallel_test serve_test metrics_test store_test \
-             backend_test net_test index_test robust_test core_test >/dev/null
+             backend_test net_test index_test robust_test core_test \
+             tensor_test autograd_test nn_test >/dev/null
   for t in io_fuzz_test checkpoint_test util_test robustness_test \
            parallel_test serve_test metrics_test store_test backend_test \
-           net_test index_test robust_test core_test; do
+           net_test index_test robust_test core_test tensor_test \
+           autograd_test nn_test; do
     echo "  asan: $t"
     ./build-asan/tests/"$t" >/dev/null
   done
@@ -102,9 +108,10 @@ if [[ "$SKIP_SAN" == "0" ]]; then
   cmake -B build-ubsan -S . -DBOOTLEG_SANITIZE=undefined >/dev/null
   cmake --build build-ubsan -j"$JOBS" \
     --target serve_test net_test io_fuzz_test robust_test index_test \
-             parallel_test tensor_test backend_test core_test >/dev/null
+             parallel_test tensor_test autograd_test backend_test \
+             core_test >/dev/null
   for t in serve_test net_test io_fuzz_test robust_test index_test \
-           parallel_test tensor_test backend_test core_test; do
+           parallel_test tensor_test autograd_test backend_test core_test; do
     echo "  ubsan: $t"
     UBSAN_OPTIONS=print_stacktrace=1 ./build-ubsan/tests/"$t" >/dev/null
   done
@@ -114,9 +121,10 @@ if [[ "$SKIP_SAN" == "0" ]]; then
   cmake --build build-tsan -j"$JOBS" \
     --target checkpoint_test parallel_test serve_test metrics_test \
              store_test backend_test net_test index_test robust_test \
-             core_test >/dev/null
+             core_test tensor_test autograd_test nn_test >/dev/null
   for t in checkpoint_test parallel_test serve_test metrics_test store_test \
-           backend_test net_test index_test robust_test core_test; do
+           backend_test net_test index_test robust_test core_test \
+           tensor_test autograd_test nn_test; do
     echo "  tsan: $t"
     ./build-tsan/tests/"$t" >/dev/null
   done
@@ -260,6 +268,21 @@ exits_2 '--overshadow_prior must be in (0, 1], got 1.5' "$CLI" eval \
   --data "$WORK/data" --model "$WORK/ref.bin" --overshadow_prior 1.5
 [[ ! -f "$WORK/bad.bin" ]] \
   || { echo "FAIL: cli: a rejected train command saved a model"; exit 1; }
+# A model whose .meta sidecar names another preset than it was trained with
+# fails to load, and the user's file stays exactly as it was.
+cp "$WORK/ref.bin" "$WORK/meta_mismatch.bin"
+cp "$WORK/ref.bin" "$WORK/meta_mismatch.copy"
+echo ent >"$WORK/meta_mismatch.bin.meta"
+set +e
+"$CLI" eval --data "$WORK/data" --model "$WORK/meta_mismatch.bin" \
+  >/dev/null 2>&1
+MISMATCH_RC=$?
+set -e
+[[ "$MISMATCH_RC" != "0" ]] \
+  || { echo "FAIL: cli: eval loaded a model under a mismatched .meta"; exit 1; }
+cmp "$WORK/meta_mismatch.bin" "$WORK/meta_mismatch.copy" \
+  || { echo "FAIL: cli: eval removed or changed a model on a .meta mismatch"; \
+       exit 1; }
 
 # --- TCP transport: concurrent clients, SIGHUP hot-reload, clean SIGTERM. ---
 "$SERVE" --data "$WORK/data" --checkpoint_dir "$WORK/ckpt_t2" --port 0 \

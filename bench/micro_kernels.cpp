@@ -93,7 +93,7 @@ void BM_MultiHeadAttention(benchmark::State& state) {
   tensor::Var q = tensor::Var::Constant(tensor::Tensor::Randn({rows, 64}, &rng));
   tensor::Var k = tensor::Var::Constant(tensor::Tensor::Randn({16, 64}, &rng));
   for (auto _ : state) {
-    benchmark::DoNotOptimize(mha.Attend(q, k));
+    benchmark::DoNotOptimize(mha.Attend(q, k, {{0, rows, 0, 16}}));
   }
 }
 BENCHMARK(BM_MultiHeadAttention)->Arg(8)->Arg(32);

@@ -34,7 +34,7 @@ constexpr float kQ5 = FromBits(0xb457edbb);
 constexpr int32_t kExpm1Tiny = 0x33000000;      // 2^-25
 constexpr int32_t kHalfLn2 = 0x3eb17218;        // ln2 / 2
 constexpr int32_t kThreeHalfLn2 = 0x3f851592;   // 3 ln2 / 2
-constexpr int32_t kTanhTiny = 0x24000000;       // 2^-55
+constexpr int32_t kTinyInput = 0x24000000;      // 2^-55
 constexpr int32_t kTanhOne = 0x3f800000;        // 1
 constexpr int32_t kTanhHuge = 0x41b00000;       // 22
 constexpr int32_t kInf = 0x7f800000;
@@ -185,7 +185,7 @@ __m256 Tanh8(__m256 x) {
   z = Pick(z, Splat(1.0f), Greater(ix, kTanhHuge - 1));
   z = _mm256_xor_ps(z, sign);
   z = Pick(z, _mm256_mul_ps(x, _mm256_add_ps(Splat(1.0f), x)),
-           Less(ix, kTanhTiny));
+           Less(ix, kTinyInput));
   const __m256i non_finite = Greater(ix, kInf - 1);
   if (_mm256_movemask_ps(_mm256_castsi256_ps(non_finite)) != 0) {
     const __m256 inv = _mm256_div_ps(Splat(1.0f), x);
@@ -233,7 +233,7 @@ float Tanh(float x) {
   const int32_t jx = std::bit_cast<int32_t>(x);
   const int32_t ix = jx & 0x7fffffff;
   if (ix >= kInf) return jx >= 0 ? 1.0f / x + 1.0f : 1.0f / x - 1.0f;
-  if (ix < kTanhTiny) return x * (1.0f + x);  // ±0 included: x·(1+x) is x
+  if (ix < kTinyInput) return x * (1.0f + x);  // ±0 included: x·(1+x) is x
   float z;
   if (ix >= kTanhHuge) {
     z = 1.0f;  // fdlibm's one - tiny, rounded

@@ -1,7 +1,7 @@
 // The one tanh of the repo: a port of glibc's fdlibm `__tanhf` (and the part
 // of `__expm1f` it reaches) that equals glibc 2.36 tanhf bit for bit on all
 // 2^32 inputs, plus row kernels that run it 8 lanes at a time under AVX2 for
-// the Gelu activation (forward and backward) and tensor::TanhT.
+// the Gelu activation (forward and backward) and tensor::Tanh.
 //
 // The AVX2 kernels evaluate every branch in every lane and blend each lane's
 // result, so they equal the scalar port bit for bit; CPUs without AVX2/FMA run

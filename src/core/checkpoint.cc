@@ -130,8 +130,10 @@ util::Status WriteCheckpoint(const std::string& dir, const TrainerState& state,
   return util::WriteTextFile(dir + "/" + kManifestName, manifest.str());
 }
 
-util::Status ReadCheckpoint(const std::string& path, TrainerState* state,
-                            nn::ParameterStore* store, nn::Adam* optimizer) {
+util::Status ReadCheckpoint(
+    const std::string& path, TrainerState* state, nn::ParameterStore* store,
+    nn::Adam* optimizer,
+    const std::function<util::Status(const TrainerState&)>& validate) {
   util::BinaryReader r(path);
   BOOTLEG_RETURN_IF_ERROR(r.status());
   if (r.ReadU32() != kCheckpointMagic) {
@@ -143,6 +145,9 @@ util::Status ReadCheckpoint(const std::string& path, TrainerState* state,
     return util::Status::Corruption("unsupported checkpoint version: " + path);
   }
   BOOTLEG_RETURN_IF_ERROR(ReadTrainerState(&r, state));
+  // The trainer state section comes first, so a checkpoint the caller
+  // rejects is refused before any weight or moment reaches the store.
+  if (validate) BOOTLEG_RETURN_IF_ERROR(validate(*state));
   BOOTLEG_RETURN_IF_ERROR(store->LoadFrom(&r));
   BOOTLEG_RETURN_IF_ERROR(optimizer->LoadState(&r));
   r.VerifyFooter();
@@ -158,8 +163,8 @@ RecoveryResult RecoverLatestCheckpoint(
     const std::function<util::Status(const TrainerState&)>& validate) {
   RecoveryResult result;
   for (const auto& [step, path] : ListCheckpoints(dir)) {
-    util::Status st = ReadCheckpoint(path, state, store, optimizer);
-    if (st.ok() && validate) st = validate(*state);
+    const util::Status st =
+        ReadCheckpoint(path, state, store, optimizer, validate);
     if (!st.ok()) {
       BOOTLEG_LOG(Warning) << "skipping checkpoint " << path << ": "
                            << st.ToString();

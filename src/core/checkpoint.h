@@ -46,11 +46,16 @@ util::Status WriteCheckpoint(const std::string& dir, const TrainerState& state,
                              const nn::ParameterStore& store,
                              const nn::Adam& optimizer, int64_t retain);
 
-/// Loads one checkpoint file, verifying checksums and the footer. On a
-/// non-OK return, `store` and `optimizer` may hold a partial mix of old and
-/// checkpoint values; they are fully overwritten by the next successful read.
-util::Status ReadCheckpoint(const std::string& path, TrainerState* state,
-                            nn::ParameterStore* store, nn::Adam* optimizer);
+/// Loads one checkpoint file, verifying checksums and the footer. The
+/// trainer state is read first and, when `validate` is set, checked before
+/// anything is written to `store` or `optimizer`: a rejected checkpoint
+/// leaves both untouched. A checkpoint found corrupt past that point may
+/// leave a partial mix of old and checkpoint values, which the next
+/// successful read fully overwrites.
+util::Status ReadCheckpoint(
+    const std::string& path, TrainerState* state, nn::ParameterStore* store,
+    nn::Adam* optimizer,
+    const std::function<util::Status(const TrainerState&)>& validate = nullptr);
 
 struct RecoveryResult {
   bool resumed = false;
@@ -62,7 +67,9 @@ struct RecoveryResult {
 /// cleanly and passes `validate` (the trainer's compatibility check: corpus
 /// size, thread count, epoch bounds). Corrupt, partial, or incompatible
 /// checkpoints are logged and skipped — a crash mid-write can never poison
-/// recovery, it just falls back to the previous snapshot.
+/// recovery, it just falls back to the previous snapshot. An incompatible
+/// checkpoint is skipped before its weights load, so skipping it leaves the
+/// store and optimizer as they were.
 RecoveryResult RecoverLatestCheckpoint(
     const std::string& dir, TrainerState* state, nn::ParameterStore* store,
     nn::Adam* optimizer,

@@ -59,7 +59,7 @@ class BootlegModel : public eval::NedScorer {
                    util::Rng* rng = nullptr);
 
   /// Predicted candidate index per mention (-1 for empty candidate lists).
-  /// Runs PredictBatch's tape-free forward on a batch of one, with each
+  /// Runs PredictBatch's value forward on a batch of one, with each
   /// candidate's static features (entity row, pooled types and relations,
   /// title projection) computed on demand from the live tables: never
   /// stale after a weight change, no PrepareFrozenInference needed. Draws
@@ -68,8 +68,9 @@ class BootlegModel : public eval::NedScorer {
   /// ReleaseEntityTableForServing (checked).
   std::vector<int64_t> Predict(const data::SentenceExample& example) override;
 
-  /// Reusable buffers for the value forward: one per serving worker for
-  /// PredictBatch, one per thread inside Predict. Keeping them across calls
+  /// Reusable buffers for the model forward, which keeps its row layout
+  /// here: one per serving worker for PredictBatch, one per thread inside
+  /// Predict, Loss and ContextualEmbeddings. Keeping them across calls
   /// avoids per-request metadata allocation on the hot path.
   struct InferenceScratch {
     struct SentenceInfo {
@@ -202,49 +203,81 @@ class BootlegModel : public eval::NedScorer {
     kTwoHop,        // shared-neighbor 2-hop connectivity (extension)
   };
 
+  /// Which forward ScoresForTest runs.
+  enum class ScoreSource {
+    kTape,          // Loss's autograd forward, one sentence at a time
+    kPredict,       // Predict's value forward over live rows, batch of one
+    kPredictBatch,  // PredictBatch's, the whole list as one batch
+  };
+
+  /// Test hook: every candidate row's ensemble score, per sentence of
+  /// `batch` (empty for a sentence with no candidate row), from `source`.
+  std::vector<std::vector<float>> ScoresForTest(
+      const std::vector<const data::SentenceExample*>& batch,
+      ScoreSource source);
+
   /// Test hook exposing the per-sentence adjacency construction.
-  tensor::Tensor BuildAdjacencyForTest(const data::SentenceExample& example,
-                                       const std::vector<int64_t>& row_entities,
+  tensor::Tensor BuildAdjacencyForTest(const std::vector<int64_t>& row_entities,
                                        const std::vector<int64_t>& row_mention,
                                        AdjacencyKind kind) const {
-    return BuildAdjacency(example, row_entities, row_mention, kind);
+    return BuildAdjacency(row_entities, row_mention, kind);
   }
 
  private:
-  struct ForwardResult {
-    bool valid = false;
-    tensor::Var scores;                 // [rows, 1] ensemble scores
-    tensor::Var ek;                     // [rows, hidden] final KG output
-    std::vector<int64_t> row_offset;    // per mention: first row index
-    std::vector<int64_t> row_count;     // per mention: candidate count
-    tensor::Var type_logits;            // [mentions_with_types, coarse] or undefined
-    std::vector<int64_t> type_targets;  // gold coarse types for those rows
+  /// What Forward leaves for its caller, rows in the scratch's layout.
+  template <typename T>
+  struct ForwardOut {
+    T scores;  // [rows, 1] ensemble score per candidate row
+    T ek;      // [rows, hidden] final-layer entity rows
+    T type_logits;  // Var only: supervised mentions' coarse-type logits
+    std::vector<int64_t> type_targets;  // their gold coarse types
   };
 
-  /// The autograd forward behind Loss and ContextualEmbeddings.
-  ForwardResult RunForward(const data::SentenceExample& example, bool train,
-                           util::Rng* rng);
+  /// The model forward (Sec. 3), written once. Lays out one row per
+  /// (mention, candidate) of every sentence of `batch` in `scratch`, runs
+  /// row-wise stages over all rows and attention, KG mixing and scoring per
+  /// sentence. T = Var is the tape Loss trains through: static features from
+  /// the live tables, dropout and regularization masks drawn from `rng` when
+  /// `train`, and the type supervision. T = Tensor is the value forward of
+  /// Predict and PredictBatch: static rows from `view`, the infer.* spans
+  /// and the scratch's cancel_check. Returns false only when that check
+  /// abandons the batch; `out` stays empty when no sentence has a row.
+  template <typename T>
+  bool Forward(const std::vector<const data::SentenceExample*>& batch,
+               const store::StoreView* view, util::Rng* rng, bool train,
+               InferenceScratch* scratch, ForwardOut<T>* out) const;
+
+  /// The tape's candidate features [rows, input_dim], computed from the live
+  /// tables: [entity (regularization-masked when training) | pooled types |
+  /// `tpred` | pooled relations | title].
+  tensor::Var LiveFeatures(const InferenceScratch& s, const tensor::Var& tpred,
+                           util::Rng* rng, bool train) const;
+
+  /// The value forward's candidate features: each row's static columns
+  /// gathered from `view`, with the `tpred` columns inserted.
+  tensor::Tensor GatherFeatures(InferenceScratch& s, const tensor::Tensor& tpred,
+                                const store::StoreView& view) const;
 
   /// StoreView over the rows ComputeFrozenRow derives from the live tables.
   class LiveRowView;
 
   /// Writes one entity's static-feature row (FrozenStaticCols() floats,
-  /// [entity | type_pool | rel_pool | title]) from the current tables:
+  /// [entity | type_pool | rel_pool | title]) from the current tables, with
+  /// the per-entity feature code LiveFeatures runs per row, on Tensors:
   /// `entity_slot` is its entity-embedding row (read only with use_entity),
   /// `title_token_id` its title token (read only with use_title_feature).
   /// No validation; callers pass in-range ids.
   void ComputeFrozenRow(const kb::Entity& entity, const float* entity_slot,
                         int64_t title_token_id, float* dst) const;
 
-  /// The tape-free forward of PredictBatch and Predict, gathering each
-  /// candidate's static row from `view`.
+  /// Predict and PredictBatch: the value forward, gathering each
+  /// candidate's static row from `view`, then each mention's argmax.
   std::vector<std::vector<int64_t>> PredictRows(
       const std::vector<const data::SentenceExample*>& batch,
       const store::StoreView& view, InferenceScratch* scratch) const;
 
   /// Builds one per-sentence KG adjacency over candidate rows.
-  tensor::Tensor BuildAdjacency(const data::SentenceExample& example,
-                                const std::vector<int64_t>& row_entities,
+  tensor::Tensor BuildAdjacency(const std::vector<int64_t>& row_entities,
                                 const std::vector<int64_t>& row_mention,
                                 AdjacencyKind kind) const;
 
@@ -285,8 +318,8 @@ class BootlegModel : public eval::NedScorer {
   bool compressed_ = false;
 
   // Frozen per-entity features for the serving path (PrepareFrozenInference).
-  // Column layout: [entity | type_pool | rel_pool | title]; PredictRows puts
-  // the sentence-dependent coarse-type slots after type_pool.
+  // Column layout: [entity | type_pool | rel_pool | title]; GatherFeatures
+  // puts the sentence-dependent coarse-type slots after type_pool.
   tensor::Tensor frozen_static_;
   bool frozen_ready_ = false;
   // PredictBatch gathers frozen rows through this view: a HeapView over

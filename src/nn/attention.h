@@ -2,6 +2,7 @@
 #define BOOTLEG_NN_ATTENTION_H_
 
 #include <string>
+#include <vector>
 
 #include "nn/layers.h"
 #include "nn/param_store.h"
@@ -12,9 +13,10 @@ namespace bootleg::nn {
 
 /// One independent attention group inside batched query/key tensors: query
 /// rows [q_offset, q_offset + q_rows) attend only over key rows [k_offset,
-/// k_offset + k_rows). The serving engine packs many sentences into one
-/// tensor and describes each sentence with one segment, so the projection
-/// matmuls run batched while the attention cores stay per-sentence.
+/// k_offset + k_rows). The model and the word encoder stack several
+/// sentences into one tensor and describe each sentence with one segment,
+/// so the projection matmuls run batched while the attention cores stay
+/// per-sentence.
 struct AttentionSegment {
   int64_t q_offset = 0;
   int64_t q_rows = 0;
@@ -24,21 +26,23 @@ struct AttentionSegment {
 
 /// Standard multi-head attention (Vaswani et al.). Queries attend over
 /// keys/values; pass the same tensor for self-attention. Shapes are 2-D:
-/// queries [r, hidden], keys [s, hidden] → output [r, hidden].
+/// queries [r, hidden], keys [s, hidden] → output [r, hidden]. Written once
+/// over T = tensor::Var or tensor::Tensor (see nn/layers.h).
 class MultiHeadAttention {
  public:
   MultiHeadAttention(ParameterStore* store, const std::string& prefix,
                      int64_t hidden, int64_t num_heads, util::Rng* rng);
 
-  tensor::Var Attend(const tensor::Var& queries, const tensor::Var& keys) const;
-
-  /// Forward-only fast path over independent segments. Every segment's output
-  /// rows are bit-identical to Attend() on that segment's rows alone: the
-  /// q/k/v/o projections are row-wise (batching cannot change them) and the
-  /// score/softmax/value cores run per segment on the same kernels.
-  tensor::Tensor AttendSegmentsValue(
-      const tensor::Tensor& queries, const tensor::Tensor& keys,
-      const std::vector<AttentionSegment>& segments) const;
+  /// Attention over independent segments, which must tile the query rows in
+  /// order; one segment {0, r, 0, s} is plain attention. Every segment's
+  /// output rows are bit-identical to attending over that segment's rows
+  /// alone: the q/k/v/o projections are row-wise (batching cannot change
+  /// them) and the score/softmax/value cores run per segment on the same
+  /// kernels. A segment spanning every row slices nothing, so on one
+  /// segment the Var form builds plain attention's tape.
+  template <typename T>
+  T Attend(const T& queries, const T& keys,
+           const std::vector<AttentionSegment>& segments) const;
 
   int64_t num_heads() const { return num_heads_; }
 
@@ -62,21 +66,13 @@ class AttentionBlock {
                  int64_t hidden, int64_t num_heads, int64_t ff_inner,
                  util::Rng* rng);
 
-  /// Cross-attention form (Phrase2Ent): queries over external keys.
-  tensor::Var Forward(const tensor::Var& queries, const tensor::Var& keys,
-                      util::Rng* rng, bool train) const;
-
-  /// Self-attention form (Ent2Ent).
-  tensor::Var Forward(const tensor::Var& x, util::Rng* rng, bool train) const {
-    return Forward(x, x, rng, train);
-  }
-
-  /// Forward-only eval-mode fast path over independent segments (see
-  /// MultiHeadAttention::AttendSegmentsValue). Dropout is the identity at
-  /// eval time, so per-segment rows match Forward(..., train=false) exactly.
-  tensor::Tensor ForwardSegmentsValue(
-      const tensor::Tensor& queries, const tensor::Tensor& keys,
-      const std::vector<AttentionSegment>& segments) const;
+  /// Queries attend over keys per segment (see MultiHeadAttention::Attend):
+  /// cross-attention for Phrase2Ent, self-attention (keys == queries) for
+  /// Ent2Ent and the word encoder.
+  template <typename T>
+  T Forward(const T& queries, const T& keys,
+            const std::vector<AttentionSegment>& segments, util::Rng* rng,
+            bool train) const;
 
  private:
   MultiHeadAttention mha_;
@@ -94,10 +90,15 @@ class AdditiveAttention {
   AdditiveAttention(ParameterStore* store, const std::string& prefix,
                     int64_t dim, int64_t attn_dim, util::Rng* rng);
 
-  tensor::Var Pool(const tensor::Var& items) const;
-
-  /// Forward-only fast path, bit-identical to Pool (same kernels, no tape).
-  tensor::Tensor PoolValue(const tensor::Tensor& items) const;
+  template <typename T>
+  T Pool(const T& items) const {
+    BOOTLEG_CHECK_EQ(tensor::ValueOf(items).dim(), 2);
+    // scores_i = vᵀ tanh(W x_i + b); weights = softmax(scores); out = Σ w_i x_i.
+    T hidden = tensor::Tanh(proj_.Forward(items));
+    T scores = tensor::MatMul(hidden, tensor::ParamAs<T>(score_vec_));  // [t, 1]
+    T weights = tensor::SoftmaxRows(tensor::Transpose(scores));  // [1, t]
+    return tensor::MatMul(weights, items);                       // [1, dim]
+  }
 
  private:
   Linear proj_;

@@ -11,7 +11,8 @@ Embedding::Embedding(std::string name, int64_t rows, int64_t cols,
                      util::Rng* rng, float stddev)
     : name_(std::move(name)), table_(EmbeddingInit(rows, cols, rng, stddev)) {}
 
-Var Embedding::Lookup(const std::vector<int64_t>& ids) {
+template <>
+Var Embedding::Lookup<Var>(const std::vector<int64_t>& ids) {
   Tensor out = tensor::GatherRows(table_, ids);
   const int64_t cols = table_.size(1);
   auto node = std::make_shared<tensor::internal_autograd::Node>();

@@ -22,13 +22,10 @@ class Embedding {
   Embedding(std::string name, int64_t rows, int64_t cols, util::Rng* rng,
             float stddev = 0.02f);
 
-  /// Differentiable row gather; ids index the table.
-  tensor::Var Lookup(const std::vector<int64_t>& ids);
-
-  /// Non-differentiable gather (inference paths).
-  tensor::Tensor LookupValue(const std::vector<int64_t>& ids) const {
-    return tensor::GatherRows(table_, ids);
-  }
+  /// Row gather; ids index the table. The Var form is differentiable (its
+  /// backward scatters into sparse_grads()); the Tensor form copies values.
+  template <typename T = tensor::Var>
+  T Lookup(const std::vector<int64_t>& ids);
 
   /// Re-initializes every row to the same vector. The paper initializes all
   /// entity embeddings identically so unseen entities do not differ by
@@ -59,6 +56,15 @@ class Embedding {
   tensor::Tensor table_;
   std::unordered_map<int64_t, std::vector<float>> sparse_grads_;
 };
+
+template <>
+tensor::Var Embedding::Lookup<tensor::Var>(const std::vector<int64_t>& ids);
+
+template <>
+inline tensor::Tensor Embedding::Lookup<tensor::Tensor>(
+    const std::vector<int64_t>& ids) {
+  return tensor::GatherRows(table_, ids);
+}
 
 }  // namespace bootleg::nn
 

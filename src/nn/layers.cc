@@ -16,17 +16,6 @@ Linear::Linear(ParameterStore* store, const std::string& prefix, int64_t in,
       weight_(store->CreateParam(prefix + ".weight", XavierUniform(in, out, rng))),
       bias_(store->CreateParam(prefix + ".bias", Tensor({out}))) {}
 
-Var Linear::Forward(const Var& x) const {
-  BOOTLEG_CHECK_EQ(x.value().size(1), in_);
-  return tensor::AddRowBroadcast(tensor::MatMul(x, weight_), bias_);
-}
-
-Tensor Linear::ForwardValue(const Tensor& x) const {
-  BOOTLEG_CHECK_EQ(x.size(1), in_);
-  return tensor::AddRowBroadcast(tensor::MatMul(x, weight_.value()),
-                                 bias_.value());
-}
-
 LayerNormLayer::LayerNormLayer(ParameterStore* store, const std::string& prefix,
                                int64_t dim)
     : gamma_(store->CreateParam(prefix + ".gamma", Tensor::Ones({dim}))),
@@ -55,16 +44,6 @@ FeedForward::FeedForward(ParameterStore* store, const std::string& prefix,
       fc2_(store, prefix + ".fc2", inner_dim, dim, rng),
       dropout_(0.1f) {}
 
-Var FeedForward::Forward(const Var& x, util::Rng* rng, bool train) const {
-  Var h = tensor::Gelu(fc1_.Forward(x));
-  h = dropout_.Apply(h, rng, train);
-  return fc2_.Forward(h);
-}
-
-Tensor FeedForward::ForwardValue(const Tensor& x) const {
-  return fc2_.ForwardValue(tensor::Gelu(fc1_.ForwardValue(x)));
-}
-
 Mlp::Mlp(ParameterStore* store, const std::string& prefix,
          const std::vector<int64_t>& dims, util::Rng* rng)
     : dropout_(0.1f) {
@@ -73,27 +52,6 @@ Mlp::Mlp(ParameterStore* store, const std::string& prefix,
     layers_.emplace_back(store, prefix + ".l" + std::to_string(i), dims[i],
                          dims[i + 1], rng);
   }
-}
-
-Var Mlp::Forward(const Var& x, util::Rng* rng, bool train) const {
-  Var h = x;
-  for (size_t i = 0; i < layers_.size(); ++i) {
-    h = layers_[i].Forward(h);
-    if (i + 1 < layers_.size()) {
-      h = tensor::Relu(h);
-      h = dropout_.Apply(h, rng, train);
-    }
-  }
-  return h;
-}
-
-Tensor Mlp::ForwardValue(const Tensor& x) const {
-  Tensor h = x;
-  for (size_t i = 0; i < layers_.size(); ++i) {
-    h = layers_[i].ForwardValue(h);
-    if (i + 1 < layers_.size()) h = tensor::Relu(h);
-  }
-  return h;
 }
 
 Tensor SinusoidalPositionTable(int64_t max_len, int64_t dim) {

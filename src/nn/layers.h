@@ -10,16 +10,25 @@
 
 namespace bootleg::nn {
 
+// Each layer writes its forward once, as a template over T = tensor::Var
+// (the tape Loss trains through) or T = tensor::Tensor (values only, for
+// inference). Both run the same kernels in the same order, so a value
+// forward's output is bit-identical to the tape forward's value. Only the Var
+// form trains: dropout is the identity on Tensors.
+
 /// Fully-connected layer y = xW + b over 2-D inputs [n, in].
 class Linear {
  public:
   Linear(ParameterStore* store, const std::string& prefix, int64_t in,
          int64_t out, util::Rng* rng);
 
-  tensor::Var Forward(const tensor::Var& x) const;
-
-  /// Forward-only fast path: same kernels as Forward, no tape allocation.
-  tensor::Tensor ForwardValue(const tensor::Tensor& x) const;
+  template <typename T>
+  T Forward(const T& x) const {
+    BOOTLEG_CHECK_EQ(tensor::ValueOf(x).size(1), in_);
+    return tensor::AddRowBroadcast(
+        tensor::MatMul(x, tensor::ParamAs<T>(weight_)),
+        tensor::ParamAs<T>(bias_));
+  }
 
   int64_t in_dim() const { return in_; }
   int64_t out_dim() const { return out_; }
@@ -36,12 +45,10 @@ class LayerNormLayer {
  public:
   LayerNormLayer(ParameterStore* store, const std::string& prefix, int64_t dim);
 
-  tensor::Var Forward(const tensor::Var& x) const {
-    return tensor::LayerNorm(x, gamma_, beta_);
-  }
-
-  tensor::Tensor ForwardValue(const tensor::Tensor& x) const {
-    return tensor::LayerNormRows(x, gamma_.value(), beta_.value());
+  template <typename T>
+  T Forward(const T& x) const {
+    return tensor::LayerNorm(x, tensor::ParamAs<T>(gamma_),
+                             tensor::ParamAs<T>(beta_));
   }
 
  private:
@@ -57,6 +64,12 @@ class Dropout {
 
   tensor::Var Apply(const tensor::Var& x, util::Rng* rng, bool train) const;
 
+  /// The value forward never trains, so this is the identity.
+  tensor::Tensor Apply(tensor::Tensor x, util::Rng* /*rng*/, bool train) const {
+    BOOTLEG_CHECK(!train);
+    return x;
+  }
+
   float p() const { return p_; }
 
  private:
@@ -69,10 +82,11 @@ class FeedForward {
   FeedForward(ParameterStore* store, const std::string& prefix, int64_t dim,
               int64_t inner_dim, util::Rng* rng);
 
-  tensor::Var Forward(const tensor::Var& x, util::Rng* rng, bool train) const;
-
-  /// Eval-mode forward without tape (dropout is the identity at eval time).
-  tensor::Tensor ForwardValue(const tensor::Tensor& x) const;
+  template <typename T>
+  T Forward(const T& x, util::Rng* rng, bool train) const {
+    T h = dropout_.Apply(tensor::Gelu(fc1_.Forward(x)), rng, train);
+    return fc2_.Forward(h);
+  }
 
  private:
   Linear fc1_;
@@ -88,10 +102,15 @@ class Mlp {
   Mlp(ParameterStore* store, const std::string& prefix,
       const std::vector<int64_t>& dims, util::Rng* rng);
 
-  tensor::Var Forward(const tensor::Var& x, util::Rng* rng, bool train) const;
-
-  /// Eval-mode forward without tape (dropout is the identity at eval time).
-  tensor::Tensor ForwardValue(const tensor::Tensor& x) const;
+  template <typename T>
+  T Forward(const T& x, util::Rng* rng, bool train) const {
+    T h = layers_[0].Forward(x);
+    for (size_t i = 1; i < layers_.size(); ++i) {
+      h = dropout_.Apply(tensor::Relu(h), rng, train);
+      h = layers_[i].Forward(h);
+    }
+    return h;
+  }
 
  private:
   std::vector<Linear> layers_;

@@ -115,11 +115,15 @@ class SpanScope {
 /// Times the rest of the enclosing scope under stage `name` (a string
 /// literal). The stage lookup happens once per call site; afterwards a
 /// disabled span is one atomic load + branch.
-#define OBS_SPAN(name)                                                      \
+#define OBS_SPAN(name) OBS_SPAN_IF(true, name)
+
+/// OBS_SPAN that records only when `cond` holds, e.g. in one instantiation
+/// of a template (parenthesize a condition that contains a comma).
+#define OBS_SPAN_IF(cond, name)                                             \
   static ::bootleg::obs::StageStats* BOOTLEG_OBS_CONCAT(                    \
       bootleg_obs_stage_, __LINE__) = ::bootleg::obs::Trace::Stage(name);   \
   ::bootleg::obs::SpanScope BOOTLEG_OBS_CONCAT(bootleg_obs_span_, __LINE__)( \
-      BOOTLEG_OBS_CONCAT(bootleg_obs_stage_, __LINE__))
+      (cond) ? BOOTLEG_OBS_CONCAT(bootleg_obs_stage_, __LINE__) : nullptr)
 
 }  // namespace bootleg::obs
 

@@ -255,8 +255,8 @@ Var Relu(const Var& a) {
   });
 }
 
-Var TanhV(const Var& a) {
-  Tensor out = TanhT(a.value());
+Var Tanh(const Var& a) {
+  Tensor out = Tanh(a.value());
   return MakeOp(std::move(out), {a}, [](Node& n) {
     Tensor d = n.grad;
     float* dp = d.data();
@@ -479,7 +479,7 @@ Var LayerNorm(const Var& x, const Var& gamma, const Var& beta, float eps) {
   Tensor xhat;
   Tensor inv_std;
   Tensor out =
-      LayerNormRows(xv, gamma.value(), beta.value(), eps, &xhat, &inv_std);
+      LayerNorm(xv, gamma.value(), beta.value(), eps, &xhat, &inv_std);
 
   return MakeOp(std::move(out), {x, gamma, beta},
                 [xhat = std::move(xhat), inv_std = std::move(inv_std), rows,
@@ -561,7 +561,7 @@ Var CrossEntropy(const Var& logits, const std::vector<int64_t>& targets) {
 Var AddScaledIdentity(const Tensor& k, const Var& w) {
   BOOTLEG_CHECK_EQ(w.value().numel(), 1);
   const int64_t n_dim = k.size(0);
-  Tensor out = AddScaledIdentity(k, w.value().at(0));
+  Tensor out = AddScaledIdentity(k, w.value());
   return MakeOp(std::move(out), {w}, [n_dim](Node& n) {
     if (!n.inputs[0]->requires_grad) return;
     float tr = 0.0f;

@@ -4,6 +4,7 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
+#include <type_traits>
 #include <unordered_map>
 #include <vector>
 
@@ -171,7 +172,7 @@ Var Scale(const Var& a, float alpha);
 /// a [n,d] + bias [d].
 Var AddRowBroadcast(const Var& a, const Var& bias);
 Var Relu(const Var& a);
-Var TanhV(const Var& a);
+Var Tanh(const Var& a);
 Var Gelu(const Var& a);
 Var SoftmaxRows(const Var& a);
 Var LogSoftmaxRows(const Var& a);
@@ -194,6 +195,29 @@ Var CrossEntropy(const Var& logits, const std::vector<int64_t>& targets);
 Var AddScaledIdentity(const Tensor& k, const Var& w);
 /// Mean of the rows of a 2-D input → [1, d]. Used by additive attention.
 Var MeanRows(const Var& a);
+
+// --- Code written once over Var and Tensor ------------------------------------
+// The layers and the model write each forward as a template over T = Var
+// (taped, differentiable) or T = Tensor (values only, no tape). Every op
+// above has a Tensor overload of the same name; these lift the rest.
+
+/// The forward value of either operand type.
+inline const Tensor& ValueOf(const Tensor& t) { return t; }
+inline const Tensor& ValueOf(const Var& v) { return v.value(); }
+
+/// A parameter as an operand of type T: the Var itself, or its value.
+template <typename T>
+const T& ParamAs(const Var& param) {
+  if constexpr (std::is_same_v<T, Var>) return param;
+  else return param.value();
+}
+
+/// A constant as an operand of type T.
+template <typename T>
+T ConstantAs(Tensor value) {
+  if constexpr (std::is_same_v<T, Var>) return Var::Constant(std::move(value));
+  else return value;
+}
 
 }  // namespace bootleg::tensor
 

@@ -644,7 +644,7 @@ Tensor Relu(const Tensor& a) {
   return c;
 }
 
-Tensor TanhT(const Tensor& a) {
+Tensor Tanh(const Tensor& a) {
   Tensor c = a;
   float* pc = c.data();
   Dispatch(c.numel(), 1 << 12, [pc](int64_t lo, int64_t hi) {
@@ -743,8 +743,8 @@ Tensor GatherRows(const Tensor& table, const std::vector<int64_t>& ids) {
   return c;
 }
 
-Tensor LayerNormRows(const Tensor& x, const Tensor& gamma, const Tensor& beta,
-                     float eps, Tensor* xhat, Tensor* inv_std) {
+Tensor LayerNorm(const Tensor& x, const Tensor& gamma, const Tensor& beta,
+                 float eps, Tensor* xhat, Tensor* inv_std) {
   BOOTLEG_CHECK_EQ(x.dim(), 2);
   const int64_t rows = x.size(0), cols = x.size(1);
   BOOTLEG_CHECK_EQ(gamma.numel(), cols);
@@ -782,12 +782,13 @@ Tensor LayerNormRows(const Tensor& x, const Tensor& gamma, const Tensor& beta,
   return out;
 }
 
-Tensor AddScaledIdentity(const Tensor& k, float w) {
+Tensor AddScaledIdentity(const Tensor& k, const Tensor& w) {
   BOOTLEG_CHECK_EQ(k.dim(), 2);
   BOOTLEG_CHECK_EQ(k.size(0), k.size(1));
+  BOOTLEG_CHECK_EQ(w.numel(), 1);
   Tensor out = k;
   const int64_t n = k.size(0);
-  for (int64_t i = 0; i < n; ++i) out.at(i, i) += w;
+  for (int64_t i = 0; i < n; ++i) out.at(i, i) += w.at(0);
   return out;
 }
 

@@ -218,7 +218,7 @@ Tensor Max(const Tensor& a, const Tensor& b);
 /// backend::Tanh, glibc's fdlibm tanhf ported bit for bit
 /// (backend/tanh_kernels.h), on every host.
 Tensor Relu(const Tensor& a);
-Tensor TanhT(const Tensor& a);
+Tensor Tanh(const Tensor& a);
 Tensor Gelu(const Tensor& a);
 
 /// Concatenates 2-D tensors with equal row counts along columns.
@@ -241,12 +241,12 @@ Tensor GatherRows(const Tensor& table, const std::vector<int64_t>& ids);
 /// `xhat` / `inv_std` are non-null they receive the normalized rows and the
 /// per-row 1/std that the backward pass needs. Keeping both paths on this one
 /// kernel is what makes the no-tape inference path bit-identical to training.
-Tensor LayerNormRows(const Tensor& x, const Tensor& gamma, const Tensor& beta,
-                     float eps = 1e-5f, Tensor* xhat = nullptr,
-                     Tensor* inv_std = nullptr);
+Tensor LayerNorm(const Tensor& x, const Tensor& gamma, const Tensor& beta,
+                 float eps = 1e-5f, Tensor* xhat = nullptr,
+                 Tensor* inv_std = nullptr);
 
-/// K + w·I for square K (value-path form of the autograd op).
-Tensor AddScaledIdentity(const Tensor& k, float w);
+/// K + w·I for square K and one-element w (value form of the autograd op).
+Tensor AddScaledIdentity(const Tensor& k, const Tensor& w);
 
 /// Row index of the maximum in a 1-D tensor.
 int64_t ArgMax(const Tensor& a);

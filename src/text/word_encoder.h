@@ -1,6 +1,7 @@
 #ifndef BOOTLEG_TEXT_WORD_ENCODER_H_
 #define BOOTLEG_TEXT_WORD_ENCODER_H_
 
+#include <algorithm>
 #include <string>
 #include <utility>
 #include <vector>
@@ -33,26 +34,33 @@ class WordEncoder {
               int64_t vocab_size, const WordEncoderConfig& config,
               util::Rng* rng);
 
-  /// Encodes a token-id sequence into contextual embeddings W of shape
-  /// [num_tokens, hidden]. Sequences longer than max_len are truncated.
+  /// Encodes token-id sequences into contextual embeddings W [tokens,
+  /// hidden], stacked row-wise in input order; `ranges[i]` receives
+  /// {first_row, num_rows} of sequence i. Each sequence is truncated to
+  /// max_len, and attention runs per sequence, so every sequence's rows are
+  /// bit-identical to encoding it alone while the row-wise matmuls run over
+  /// the whole stack. T = tensor::Var builds the tape (training draws
+  /// dropout from `rng`); T = tensor::Tensor computes values only.
+  template <typename T>
+  T Encode(const std::vector<const std::vector<int64_t>*>& sequences,
+           std::vector<std::pair<int64_t, int64_t>>* ranges, util::Rng* rng,
+           bool train) const;
+
+  /// One sequence on the tape: W of shape [min(tokens, max_len), hidden].
   tensor::Var Encode(const std::vector<int64_t>& token_ids, util::Rng* rng,
                      bool train) const;
 
-  /// Forward-only batched encoding for inference. Each sequence is truncated
-  /// to max_len exactly as Encode does, all sequences are stacked row-wise in
-  /// input order, and the attention layers run with per-sequence segments —
-  /// so every sequence's output rows are bit-identical to
-  /// Encode(seq, rng, /*train=*/false) on that sequence alone, with the
-  /// projection matmuls batched across the whole stack and no tape built.
-  /// `ranges[i]` receives {first_row, num_rows} of sequence i.
-  tensor::Tensor EncodeBatchValue(
-      const std::vector<const std::vector<int64_t>*>& sequences,
-      std::vector<std::pair<int64_t, int64_t>>* ranges) const;
-
   /// Contextualized mention embedding m: sum of the first and last token
   /// vectors of the mention span (paper Appendix A).
-  static tensor::Var MentionEmbedding(const tensor::Var& w, int64_t span_start,
-                                      int64_t span_end);
+  template <typename T>
+  static T MentionEmbedding(const T& w, int64_t span_start, int64_t span_end) {
+    const int64_t n = tensor::ValueOf(w).size(0);
+    BOOTLEG_CHECK(span_start >= 0 && span_start < n);
+    BOOTLEG_CHECK(span_end >= span_start);
+    const int64_t last = std::min(span_end, n - 1);
+    return tensor::Add(tensor::SliceRows(w, span_start, 1),
+                       tensor::SliceRows(w, last, 1));
+  }
 
   const WordEncoderConfig& config() const { return config_; }
   const std::string& prefix() const { return prefix_; }

@@ -153,7 +153,7 @@ TEST(AutogradTest, ConcurrentBackwardOnTapesSharingParameterLeaves) {
       Var x = Var::Constant(
           Tensor::Full({4, 8}, 0.01f * static_cast<float>(worker + step)));
       Var rows = GatherRows(table, {step % 16, (step + worker) % 16, 3, 3});
-      Var y = TanhV(AddRowBroadcast(MatMul(Add(x, rows), w), bias));
+      Var y = Tanh(AddRowBroadcast(MatMul(Add(x, rows), w), bias));
       Backward(Mean(y));
     }
   };
@@ -225,7 +225,7 @@ const GradCase kCases[] = {
     {"relu", {{8}},
      [](const std::vector<Var>& v) { return Sum(Mul(Relu(v[0]), v[0])); }},
     {"tanh", {{6}},
-     [](const std::vector<Var>& v) { return Sum(TanhV(v[0])); }},
+     [](const std::vector<Var>& v) { return Sum(Tanh(v[0])); }},
     {"gelu", {{6}},
      [](const std::vector<Var>& v) { return Sum(Gelu(v[0])); }},
     {"softmax", {{3, 5}},

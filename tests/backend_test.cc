@@ -3,7 +3,7 @@
 // the probe selects them, and must then equal the portable loops bit for bit
 // on every tile branch and at every thread count. The probe must select the
 // tiles wherever they can run, so a change that silently loses them fails.
-// tensor::TanhT, tensor::Gelu and the Gelu backward run the vector tanh of
+// tensor::Tanh, tensor::Gelu and the Gelu backward run the vector tanh of
 // backend/tanh_kernels.h, which must equal the scalar fdlibm port bit for
 // bit; on glibc 2.36 the port must equal the libm tanhf it replaced.
 
@@ -145,7 +145,7 @@ TEST(TanhKernelTest, VectorKernelsEqualScalarPortBitForBit) {
   for (const int threads : {1, 4}) {
     util::ThreadPool::ResetGlobal(threads);
     const tensor::Tensor x({n}, xs);
-    const tensor::Tensor tanh = tensor::TanhT(x);
+    const tensor::Tensor tanh = tensor::Tanh(x);
     const tensor::Tensor gelu = tensor::Gelu(x);
     const tensor::Var leaf = tensor::Var::Leaf(x, /*requires_grad=*/true);
     tensor::Backward(tensor::Sum(tensor::Gelu(leaf)));
@@ -163,7 +163,7 @@ TEST(TanhKernelTest, VectorKernelsEqualScalarPortBitForBit) {
           0.5f * (1.0f + t) + 0.5f * v * (1.0f - t * t) * dinner;
       bad_dgelu += !SameFloat(dgelu.at(i), want);
     }
-    EXPECT_EQ(bad_tanh, 0) << "TanhT, threads=" << threads << ", n=" << n;
+    EXPECT_EQ(bad_tanh, 0) << "Tanh, threads=" << threads << ", n=" << n;
     EXPECT_EQ(bad_gelu, 0) << "Gelu, threads=" << threads;
     EXPECT_EQ(bad_dgelu, 0) << "Gelu backward, threads=" << threads;
   }

@@ -579,5 +579,36 @@ TEST_F(CheckpointTrainTest, MismatchedThreadCountCheckpointIsSkipped) {
   EXPECT_EQ(stats.resumed_from_step, -1);
 }
 
+TEST_F(CheckpointTrainTest, SkippedCheckpointLeavesTheStartFresh) {
+  // Checkpoints written at 1 worker are incompatible with a 2-worker resume.
+  // Skipping them must load none of their weights or Adam moments: the run
+  // then equals a plain 2-worker run.
+  const std::string dir = TestDir("skipped");
+  auto a = MakeModel();
+  core::Trainable<core::BootlegModel> a_t(a.get());
+  core::TrainOptions options = CheckpointedOptions(dir, 1);
+  options.max_steps = 4;
+  core::Train(&a_t, examples_, options);
+  ASSERT_FALSE(core::ListCheckpoints(dir).empty());
+
+  ThreadPool::ResetGlobal(2);
+  auto plain = MakeModel();
+  core::Trainable<core::BootlegModel> plain_t(plain.get());
+  core::TrainOptions plain_options = CheckpointedOptions("", 2);
+  plain_options.checkpoint_every_steps = 0;
+  plain_options.max_steps = 3;
+  core::Train(&plain_t, examples_, plain_options);
+
+  auto b = MakeModel();
+  core::Trainable<core::BootlegModel> b_t(b.get());
+  core::TrainOptions resume_options = CheckpointedOptions(dir, 2);
+  resume_options.checkpoint_every_steps = 0;
+  resume_options.resume = true;
+  resume_options.max_steps = 3;
+  const core::TrainStats stats = core::Train(&b_t, examples_, resume_options);
+  EXPECT_EQ(stats.resumed_from_step, -1);
+  EXPECT_EQ(StoreDigest(b->store()), StoreDigest(plain->store()));
+}
+
 }  // namespace
 }  // namespace bootleg

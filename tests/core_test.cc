@@ -1,5 +1,6 @@
 #include "core/model.h"
 
+#include <cstring>
 #include <filesystem>
 
 #include <gtest/gtest.h>
@@ -306,12 +307,11 @@ TEST_F(ModelTest, TwoHopAdjacencyIsDownWeighted) {
     }
   }
   ASSERT_NE(a, kb::kInvalidId);
-  data::SentenceExample ex;
   const tensor::Tensor adj = model.BuildAdjacencyForTest(
-      ex, {a, b}, {0, 1}, BootlegModel::AdjacencyKind::kTwoHop);
+      {a, b}, {0, 1}, BootlegModel::AdjacencyKind::kTwoHop);
   EXPECT_EQ(adj.at(0, 1), 0.5f);
   const tensor::Tensor direct = model.BuildAdjacencyForTest(
-      ex, {a, b}, {0, 1}, BootlegModel::AdjacencyKind::kWikidata);
+      {a, b}, {0, 1}, BootlegModel::AdjacencyKind::kWikidata);
   EXPECT_EQ(direct.at(0, 1), 0.0f);
 }
 
@@ -432,10 +432,34 @@ class ForwardAgreementTest : public ModelTest,
   }
 };
 
+/// Sentences whose score rows differ from `want` in any byte, and the rows
+/// compared.
+std::pair<int64_t, int64_t> ScoreRowsDiffer(
+    const std::vector<std::vector<float>>& want,
+    const std::vector<std::vector<float>>& got, size_t first) {
+  int64_t differ = 0, rows = 0;
+  for (size_t i = 0; i < got.size(); ++i) {
+    const std::vector<float>& a = want[first + i];
+    const std::vector<float>& b = got[i];
+    rows += static_cast<int64_t>(b.size());
+    if (a.size() != b.size() ||
+        (!a.empty() &&
+         std::memcmp(a.data(), b.data(), a.size() * sizeof(float)) != 0)) {
+      ++differ;
+    }
+  }
+  return {differ, rows};
+}
+
 TEST_P(ForwardAgreementTest, PredictPicksTheTapeForwardsCandidate) {
   util::ThreadPool::ResetGlobal(1);
   // Trained a few steps so scores are not tied at their shared init.
   std::unique_ptr<BootlegModel> model = MakeModel(Config(), /*steps=*/6);
+  model->PrepareFrozenInference();
+  std::vector<const data::SentenceExample*> all;
+  for (const data::SentenceExample& ex : examples_) all.push_back(&ex);
+  const std::vector<std::vector<float>> tape_scores =
+      model->ScoresForTest(all, BootlegModel::ScoreSource::kTape);
   std::vector<std::vector<kb::EntityId>> tape;
   int64_t not_first = 0;  // mentions whose choice is not candidate 0
   for (const data::SentenceExample& ex : examples_) {
@@ -458,6 +482,29 @@ TEST_P(ForwardAgreementTest, PredictPicksTheTapeForwardsCandidate) {
       }
     }
     EXPECT_EQ(mismatches, 0) << "threads=" << threads;
+
+    // Every score byte, not just the argmax: Predict one sentence at a time
+    // over live rows, PredictBatch eight at a time over the frozen table.
+    const auto [predict_differ, predict_rows] = ScoreRowsDiffer(
+        tape_scores,
+        model->ScoresForTest(all, BootlegModel::ScoreSource::kPredict), 0);
+    EXPECT_GT(predict_rows, 0);
+    EXPECT_EQ(predict_differ, 0) << "Predict, threads=" << threads;
+    int64_t batch_differ = 0, batch_rows = 0;
+    for (size_t first = 0; first < all.size(); first += 8) {
+      const std::vector<const data::SentenceExample*> batch(
+          all.begin() + static_cast<std::ptrdiff_t>(first),
+          all.begin() + static_cast<std::ptrdiff_t>(
+                            std::min(first + 8, all.size())));
+      const auto [differ, rows] = ScoreRowsDiffer(
+          tape_scores,
+          model->ScoresForTest(batch, BootlegModel::ScoreSource::kPredictBatch),
+          first);
+      batch_differ += differ;
+      batch_rows += rows;
+    }
+    EXPECT_EQ(batch_rows, predict_rows);
+    EXPECT_EQ(batch_differ, 0) << "PredictBatch, threads=" << threads;
   }
   util::ThreadPool::ResetGlobal(1);
 }

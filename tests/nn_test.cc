@@ -1,4 +1,5 @@
 #include <cmath>
+#include <cstring>
 #include <filesystem>
 
 #include <gtest/gtest.h>
@@ -180,7 +181,7 @@ TEST(AttentionTest, MhaOutputShape) {
   MultiHeadAttention mha(&store, "mha", 8, 2, &rng);
   Var q = Var::Constant(Tensor::Randn({3, 8}, &rng));
   Var k = Var::Constant(Tensor::Randn({5, 8}, &rng));
-  Var out = mha.Attend(q, k);
+  Var out = mha.Attend(q, k, {{0, 3, 0, 5}});
   EXPECT_EQ(out.value().size(0), 3);
   EXPECT_EQ(out.value().size(1), 8);
 }
@@ -190,7 +191,7 @@ TEST(AttentionTest, BlockPreservesShape) {
   util::Rng rng(12);
   AttentionBlock block(&store, "b", 8, 2, 16, &rng);
   Var x = Var::Constant(Tensor::Randn({4, 8}, &rng));
-  Var out = block.Forward(x, &rng, /*train=*/false);
+  Var out = block.Forward(x, x, {{0, 4, 0, 4}}, &rng, /*train=*/false);
   EXPECT_EQ(out.value().size(0), 4);
   EXPECT_EQ(out.value().size(1), 8);
   EXPECT_TRUE(tensor::AllFinite(out.value()));
@@ -222,9 +223,76 @@ TEST(AttentionTest, GradientsFlowThroughBlock) {
   util::Rng rng(15);
   AttentionBlock block(&store, "b", 8, 2, 16, &rng);
   Var x = Var::Leaf(Tensor::Randn({3, 8}, &rng), true);
-  tensor::Backward(tensor::Sum(block.Forward(x, &rng, /*train=*/false)));
+  tensor::Backward(
+      tensor::Sum(block.Forward(x, x, {{0, 3, 0, 3}}, &rng, /*train=*/false)));
   EXPECT_FALSE(x.grad().empty());
   EXPECT_GT(tensor::Norm(x.grad()), 0.0f);
+}
+
+/// Three unequal segments tiling 6 query rows, over 8 key rows (cross) or
+/// over the query rows themselves (self).
+const std::vector<AttentionSegment> kCrossSegments = {
+    {0, 2, 0, 3}, {2, 3, 3, 1}, {5, 1, 4, 4}};
+const std::vector<AttentionSegment> kSelfSegments = {
+    {0, 2, 0, 2}, {2, 3, 2, 3}, {5, 1, 5, 1}};
+
+TEST(SegmentAttentionTest, GradientsMatchFiniteDifferences) {
+  for (const bool self : {false, true}) {
+    ParameterStore store;
+    util::Rng rng(31);
+    MultiHeadAttention mha(&store, "mha", 8, 2, &rng);
+    const std::vector<AttentionSegment>& segments =
+        self ? kSelfSegments : kCrossSegments;
+    std::vector<Var> leaves = {Var::Leaf(Tensor::Randn({6, 8}, &rng), true),
+                               Var::Leaf(Tensor::Randn({8, 8}, &rng), true),
+                               store.GetParam("mha.wq.weight"),
+                               store.GetParam("mha.wk.weight")};
+    // Weights every output element differently, so no gradient cancels.
+    const Tensor weights = Tensor::Randn({6, 8}, &rng);
+    const auto loss = [&](const std::vector<Var>& v) {
+      const Var& keys = self ? v[0] : v[1];
+      return tensor::Sum(
+          tensor::MulConst(mha.Attend(v[0], keys, segments), weights));
+    };
+    const tensor::GradCheckResult result =
+        tensor::CheckGradients(loss, &leaves);
+    EXPECT_TRUE(result.ok) << (self ? "self" : "cross")
+                           << ": max_rel_error " << result.max_rel_error;
+  }
+}
+
+TEST(SegmentAttentionTest, EachSegmentEqualsAttendingItAlone) {
+  for (const bool self : {false, true}) {
+    ParameterStore store;
+    util::Rng rng(32);
+    MultiHeadAttention mha(&store, "mha", 8, 2, &rng);
+    const std::vector<AttentionSegment>& segments =
+        self ? kSelfSegments : kCrossSegments;
+    const Tensor queries = Tensor::Randn({6, 8}, &rng);
+    const Tensor keys = self ? queries : Tensor::Randn({8, 8}, &rng);
+    const Tensor taped =
+        mha.Attend(Var::Constant(queries), Var::Constant(keys), segments)
+            .value();
+    const Tensor values = mha.Attend(queries, keys, segments);
+    ASSERT_TRUE(taped.SameShape(values));
+    EXPECT_EQ(std::memcmp(taped.data(), values.data(),
+                          static_cast<size_t>(taped.numel()) * sizeof(float)),
+              0)
+        << "the Var and Tensor forms differ";
+    for (const AttentionSegment& seg : segments) {
+      const Tensor alone =
+          mha.Attend(Var::Constant(tensor::SliceRows(queries, seg.q_offset,
+                                                     seg.q_rows)),
+                     Var::Constant(tensor::SliceRows(keys, seg.k_offset,
+                                                     seg.k_rows)),
+                     {{0, seg.q_rows, 0, seg.k_rows}})
+              .value();
+      EXPECT_EQ(std::memcmp(alone.data(), taped.data() + seg.q_offset * 8,
+                            static_cast<size_t>(alone.numel()) * sizeof(float)),
+                0)
+          << (self ? "self" : "cross") << " segment at row " << seg.q_offset;
+    }
+  }
 }
 
 TEST(PositionalTest, SinusoidalTableProperties) {
@@ -338,7 +406,7 @@ TEST_P(MhaShapeTest, OutputMatchesQueryShape) {
   MultiHeadAttention mha(&store, "mha", hidden, heads, &rng);
   Var q = Var::Constant(Tensor::Randn({rows, hidden}, &rng));
   Var k = Var::Constant(Tensor::Randn({7, hidden}, &rng));
-  Var out = mha.Attend(q, k);
+  Var out = mha.Attend(q, k, {{0, rows, 0, 7}});
   EXPECT_EQ(out.value().size(0), rows);
   EXPECT_EQ(out.value().size(1), hidden);
   EXPECT_TRUE(tensor::AllFinite(out.value()));

@@ -171,7 +171,7 @@ TEST(TensorTest, ReluTanhGelu) {
   Tensor r = Relu(a);
   EXPECT_EQ(r.at(0), 0.0f);
   EXPECT_EQ(r.at(2), 2.0f);
-  Tensor t = TanhT(a);
+  Tensor t = Tanh(a);
   EXPECT_NEAR(t.at(0), std::tanh(-1.0f), 1e-6f);
   Tensor g = Gelu(a);
   EXPECT_NEAR(g.at(1), 0.0f, 1e-6f);

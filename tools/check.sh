@@ -4,18 +4,21 @@
 #
 #   1. Release build + complete ctest suite (tier-1 gate).
 #   2. ASan build: corruption fuzzing, checkpoint/resume, io, parallel,
-#      serve, the kernel path, the model (core_test: the value forward
-#      against the tape forward in every config), and the tensor, autograd
-#      and layer tests, whose recycled tensor storage poisons parked blocks
-#      (a read through a freed tensor must still report); UBSan build: serve
-#      + net (request parsing, batching and framing of untrusted bytes), io
-#      fuzzing, the index and raw-text robustness, and the tensor kernels
-#      (the probe still runs the SIMD tiles there, on its shapes, before
-#      rejecting them at -O1), autograd, the kernel path, whose vector tanh
-#      runs at -O1 too, and the model.
+#      serve, the kernel path, the model (core_test: the value forward's
+#      score bytes against the tape forward's in every config), and the
+#      tensor, autograd, layer and word-encoder tests, whose recycled tensor
+#      storage poisons parked blocks (a read through a freed tensor must
+#      still report); UBSan build: serve + net (request parsing, batching
+#      and framing of untrusted bytes), io fuzzing, the index and raw-text
+#      robustness, and the tensor kernels (the probe still runs the SIMD
+#      tiles there, on its shapes, before rejecting them at -O1), autograd,
+#      the kernel path, whose vector tanh runs at -O1 too, the layers and
+#      their segment attention, the word encoder, the model, and the
+#      checkpoint reader.
 #   3. TSan build: checkpointed data-parallel training + parallel + serve +
-#      the kernel path + the model + tensor storage handed across threads
-#      and concurrent backward walks over shared parameter leaves.
+#      the kernel path + the model + the layers and the word encoder +
+#      tensor storage handed across threads and concurrent backward walks
+#      over shared parameter leaves.
 #   4. CLI crash-recovery drill, at 1 and at 2 threads: train with
 #      checkpointing, kill the run mid-checkpoint-write via fault injection
 #      (leaving a torn temp file), corrupt the newest checkpoint, resume, and
@@ -95,11 +98,11 @@ if [[ "$SKIP_SAN" == "0" ]]; then
     --target io_fuzz_test checkpoint_test util_test robustness_test \
              parallel_test serve_test metrics_test store_test \
              backend_test net_test index_test robust_test core_test \
-             tensor_test autograd_test nn_test >/dev/null
+             tensor_test autograd_test nn_test text_test >/dev/null
   for t in io_fuzz_test checkpoint_test util_test robustness_test \
            parallel_test serve_test metrics_test store_test backend_test \
            net_test index_test robust_test core_test tensor_test \
-           autograd_test nn_test; do
+           autograd_test nn_test text_test; do
     echo "  asan: $t"
     ./build-asan/tests/"$t" >/dev/null
   done
@@ -109,9 +112,10 @@ if [[ "$SKIP_SAN" == "0" ]]; then
   cmake --build build-ubsan -j"$JOBS" \
     --target serve_test net_test io_fuzz_test robust_test index_test \
              parallel_test tensor_test autograd_test backend_test \
-             core_test >/dev/null
+             core_test nn_test text_test checkpoint_test >/dev/null
   for t in serve_test net_test io_fuzz_test robust_test index_test \
-           parallel_test tensor_test autograd_test backend_test core_test; do
+           parallel_test tensor_test autograd_test backend_test core_test \
+           nn_test text_test checkpoint_test; do
     echo "  ubsan: $t"
     UBSAN_OPTIONS=print_stacktrace=1 ./build-ubsan/tests/"$t" >/dev/null
   done
@@ -121,10 +125,10 @@ if [[ "$SKIP_SAN" == "0" ]]; then
   cmake --build build-tsan -j"$JOBS" \
     --target checkpoint_test parallel_test serve_test metrics_test \
              store_test backend_test net_test index_test robust_test \
-             core_test tensor_test autograd_test nn_test >/dev/null
+             core_test tensor_test autograd_test nn_test text_test >/dev/null
   for t in checkpoint_test parallel_test serve_test metrics_test store_test \
            backend_test net_test index_test robust_test core_test \
-           tensor_test autograd_test nn_test; do
+           tensor_test autograd_test nn_test text_test; do
     echo "  tsan: $t"
     ./build-tsan/tests/"$t" >/dev/null
   done

@@ -1,7 +1,6 @@
 // Observability overhead benchmark: quantifies what the trace spans cost when
-// disabled (the price every hot path pays unconditionally) and when enabled,
-// then runs a small in-process training + serving workload with tracing on
-// and exports the per-stage wall-time breakdown.
+// disabled (the price every hot path pays unconditionally) and when enabled.
+// The per-stage breakdown of a real workload is repobench's `--trace 1`.
 //
 //   obs_bench [--out PATH]
 //
@@ -10,26 +9,15 @@
 //   - disabled-span overhead on a 128x128 MatMul loop, in percent — the
 //     acceptance bar is <2%, i.e. spans are cheap enough to leave compiled
 //     into every kernel-adjacent path
-//   - per-stage span summaries (train.*, infer.*, serve.*, nn.*, eval.*) and
-//     the metrics registry after the workload
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
-#include <filesystem>
 #include <fstream>
 #include <string>
 #include <vector>
 
-#include "core/model.h"
-#include "core/trainer.h"
-#include "data/generator.h"
-#include "data/weak_label.h"
-#include "data/world.h"
-#include "obs/metrics.h"
 #include "obs/trace.h"
-#include "serve/inference_engine.h"
 #include "tensor/tensor.h"
-#include "util/logging.h"
 #include "util/rng.h"
 #include "util/thread_pool.h"
 
@@ -127,88 +115,17 @@ int main(int argc, char** argv) {
               "disabled-span overhead on MatMul/128: %.3f%%\n",
               disabled_ns, enabled_ns, matmul_overhead_pct);
 
-  // --- Traced workload: one small training run + serving requests ---------
-  obs::Trace::Reset();
-  obs::Trace::Enable(true);
-
-  data::SynthConfig config = data::SynthConfig::MicroScale();
-  config.num_entities = 300;
-  config.num_pages = 60;
-  const data::SynthWorld world = data::BuildWorld(config);
-  data::CorpusGenerator generator(&world);
-  data::Corpus corpus = generator.Generate();
-  data::ApplyWeakLabeling(world.kb, &corpus.train);
-  const data::EntityCounts counts =
-      data::EntityCounts::FromTraining(corpus.train);
-  data::ExampleBuilder builder(&world.candidates, &world.vocab);
-  std::vector<data::SentenceExample> examples =
-      builder.BuildAll(corpus.train, data::ExampleOptions());
-  examples.resize(std::min<size_t>(examples.size(), 200));
-
-  core::BootlegConfig model_config;
-  model_config.encoder.max_len = 32;
-  core::BootlegModel model(&world.kb, world.vocab.size(), model_config, 7);
-  model.SetEntityCounts(&counts);
-  core::Trainable<core::BootlegModel> trainable(&model);
-  core::TrainOptions options;
-  options.epochs = 1;
-  core::Train(&trainable, examples, options);
-
-  const std::string dir =
-      (std::filesystem::temp_directory_path() / "bootleg_obs_bench").string();
-  std::filesystem::create_directories(dir);
-  BOOTLEG_CHECK(world.kb.Save(dir + "/kb.bin").ok());
-  BOOTLEG_CHECK(world.candidates.Save(dir + "/candidates.bin").ok());
-  BOOTLEG_CHECK(world.vocab.Save(dir + "/vocab.bin").ok());
-  BOOTLEG_CHECK(model.store().Save(dir + "/model.bin").ok());
-
-  serve::EngineOptions engine_options;
-  engine_options.data_dir = dir;
-  engine_options.model_path = dir + "/model.bin";
-  auto engine_or = serve::InferenceEngine::Create(engine_options);
-  BOOTLEG_CHECK_MSG(engine_or.ok(), engine_or.status().ToString());
-  serve::InferenceEngine& engine = *engine_or.value();
-
-  std::vector<std::string> texts;
-  for (const data::Sentence& s : corpus.dev) {
-    if (s.mentions.empty()) continue;
-    std::string text;
-    for (const std::string& t : s.tokens) {
-      if (!text.empty()) text += ' ';
-      text += t;
-    }
-    texts.push_back(std::move(text));
-    if (texts.size() == 32) break;
-  }
-  BOOTLEG_CHECK(!texts.empty());
-  core::BootlegModel::InferenceScratch scratch;
-  for (int round = 0; round < 4; ++round) {
-    engine.Disambiguate(texts, &scratch);
-  }
-  obs::Trace::Enable(false);
-
   // --- Export --------------------------------------------------------------
-  std::string json = "{\n  \"benchmark\": \"bootleg observability\",\n";
-  char buf[256];
-  std::snprintf(buf, sizeof(buf),
+  char json[512];
+  std::snprintf(json, sizeof(json),
+                "{\n  \"benchmark\": \"bootleg observability\",\n"
                 "  \"span_disabled_ns\": %.3f,\n  \"span_enabled_ns\": %.2f,\n"
-                "  \"matmul128_disabled_span_overhead_pct\": %.3f,\n",
+                "  \"matmul128_disabled_span_overhead_pct\": %.3f\n}\n",
                 disabled_ns, enabled_ns, matmul_overhead_pct);
-  json += buf;
-  json += "  \"stages\": [\n";
-  const std::vector<obs::SpanSummary> summaries = obs::Trace::Summaries();
-  for (size_t i = 0; i < summaries.size(); ++i) {
-    json += "    " + summaries[i].ToJson();
-    json += i + 1 == summaries.size() ? "\n" : ",\n";
-  }
-  json += "  ],\n";
-  json += "  \"registry\": " + obs::MetricsRegistry::Global().DumpJson() + "\n";
-  json += "}\n";
 
   std::ofstream f(out_path);
   f << json;
   f.close();
-  std::printf("wrote %s (%zu traced stages)\n", out_path.c_str(),
-              summaries.size());
+  std::printf("wrote %s\n", out_path.c_str());
   return 0;
 }

@@ -5,18 +5,16 @@
 //   store_bench [--out PATH]
 //
 // Reported:
-//   - gather cost in ns per row for heap floats, mmap floats (zero-copy
-//     RowPtr) and mmap int8 (dequantize-on-gather), over a synthetic
-//     20k x 128 table with a uniform-random access pattern
+//   - gather cost in ns per row for heap floats, mmap floats and mmap int8
+//     (dequantize-on-gather), each through StoreView::GatherRows in
+//     request-sized 64-row chunks, over a synthetic 20k x 128 table with a
+//     uniform-random access pattern
 //   - resident bytes of the float heap table vs the mapped float / int8
 //     stores; the acceptance bar is >=3x reduction for int8 (the raw ratio
 //     is 4x, minus per-row scales and per-shard headers)
 //   - end-to-end serve-path cost: batched PredictExamples latency on a
 //     synthetic world with the heap path, the float store and the int8
 //     store; the acceptance bar is <20% overhead for the store paths
-//   - int8 gather+dequant fusion: ns/row for the pre-fusion scalar
-//     store::DequantizeRow loop vs the fused SIMD backend::DequantRow the
-//     int8 view's GatherRow now runs; the acceptance bar is <=12 ns/row fused
 //   - live index mutation: AddEntityLive latency (induce + publish a chained
 //     generation + in-process adopt) and time_to_first_correct_serve (the
 //     wall time from the add_entity call until a Disambiguate reply resolves
@@ -28,13 +26,11 @@
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
-#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <string>
 #include <vector>
 
-#include "backend/simd_primitives.h"
 #include "core/model.h"
 #include "index/live_index.h"
 #include "data/example.h"
@@ -57,20 +53,21 @@ double MedianOf(std::vector<double> v) {
   return v[v.size() / 2];
 }
 
-/// ns per row gathering `ids` through a view into `dst`, summing one element
-/// per row into the sink so the loads cannot be elided.
-double TimeGatherNs(const store::StoreView& view,
-                    const std::vector<int64_t>& ids, float* dst) {
-  const int64_t cols = view.cols();
+/// ns per row gathering `ids` through `view` in request-sized chunks: one
+/// serving batch gathers tens to a few hundred rows, so GatherRows runs over
+/// 64-row chunks rather than one giant batch. Two elements per chunk go into
+/// the sink so the copies cannot be elided.
+double TimeChunkedGatherNs(const store::StoreView& view,
+                           const std::vector<int64_t>& ids) {
+  constexpr size_t kChunk = 64;
+  const size_t cols = static_cast<size_t>(view.cols());
+  std::vector<float> dst(kChunk * cols);
   const auto begin = std::chrono::steady_clock::now();
   float acc = 0.0f;
-  for (const int64_t id : ids) {
-    const float* src = view.RowPtr(id);
-    if (src == nullptr) {
-      view.GatherRow(id, dst);
-      src = dst;
-    }
-    acc += src[0] + src[cols - 1];
+  for (size_t i = 0; i < ids.size(); i += kChunk) {
+    const size_t n = std::min(kChunk, ids.size() - i);
+    view.GatherRows(ids.data() + i, static_cast<int64_t>(n), dst.data());
+    acc += dst[0] + dst[n * cols - 1];
   }
   g_sink = acc;
   const double ns = std::chrono::duration<double, std::nano>(
@@ -134,89 +131,19 @@ int main(int argc, char** argv) {
 
   std::vector<int64_t> ids(200000);
   for (int64_t& id : ids) id = rng.UniformInt(0, rows - 1);
-  std::vector<float> dst(static_cast<size_t>(cols));
 
-  TimeGatherNs(heap_view, ids, dst.data());  // warm up caches and pages
-  TimeGatherNs(*mmap_float_view, ids, dst.data());
-  TimeGatherNs(*mmap_int8_view, ids, dst.data());
+  TimeChunkedGatherNs(heap_view, ids);  // warm up caches and pages
+  TimeChunkedGatherNs(*mmap_float_view, ids);
+  TimeChunkedGatherNs(*mmap_int8_view, ids);
   std::vector<double> heap_ns, mmap_float_ns, mmap_int8_ns;
   for (int r = 0; r < 7; ++r) {
-    heap_ns.push_back(TimeGatherNs(heap_view, ids, dst.data()));
-    mmap_float_ns.push_back(TimeGatherNs(*mmap_float_view, ids, dst.data()));
-    mmap_int8_ns.push_back(TimeGatherNs(*mmap_int8_view, ids, dst.data()));
+    heap_ns.push_back(TimeChunkedGatherNs(heap_view, ids));
+    mmap_float_ns.push_back(TimeChunkedGatherNs(*mmap_float_view, ids));
+    mmap_int8_ns.push_back(TimeChunkedGatherNs(*mmap_int8_view, ids));
   }
   const double heap_row_ns = MedianOf(heap_ns);
   const double float_row_ns = MedianOf(mmap_float_ns);
   const double int8_row_ns = MedianOf(mmap_int8_ns);
-
-  // --- Fused vs unfused int8 gather+dequant ---------------------------------
-  // Unfused is the pre-fusion serving shape: copy the mapped int8 row into a
-  // staging buffer, then run the scalar store::DequantizeRow pass over it,
-  // one row at a time with no lookahead. Fused is what the model's gather
-  // path now does: one batched GatherRows call per request, which amortizes
-  // the per-row costs, keeps a prefetch window of upcoming rows in flight,
-  // and converts straight from the mapped bytes with the SIMD dequant core.
-  // Same ids, bit-identical output.
-  std::vector<int8_t> q_table(static_cast<size_t>(rows * cols));
-  std::vector<float> q_scales(static_cast<size_t>(rows));
-  for (int64_t r = 0; r < rows; ++r) {
-    q_scales[static_cast<size_t>(r)] = store::QuantizeRow(
-        table.data() + r * cols, cols, q_table.data() + r * cols);
-  }
-  std::vector<int8_t> staging(static_cast<size_t>(cols));
-  const auto time_unfused_ns = [&] {
-    const auto begin = std::chrono::steady_clock::now();
-    float acc = 0.0f;
-    for (const int64_t id : ids) {
-      std::memcpy(staging.data(), q_table.data() + id * cols,
-                  static_cast<size_t>(cols));
-      store::DequantizeRow(staging.data(), cols,
-                           q_scales[static_cast<size_t>(id)], dst.data());
-      acc += dst[0] + dst[static_cast<size_t>(cols - 1)];
-    }
-    g_sink = acc;
-    return std::chrono::duration<double, std::nano>(
-               std::chrono::steady_clock::now() - begin)
-               .count() /
-           static_cast<double>(ids.size());
-  };
-  // One request gathers tens to a few hundred rows at a time in serving, so
-  // time GatherRows over request-sized chunks rather than one giant batch.
-  constexpr size_t kChunk = 64;
-  std::vector<float> chunk_dst(kChunk * static_cast<size_t>(cols));
-  const auto time_fused_ns = [&] {
-    const auto begin = std::chrono::steady_clock::now();
-    float acc = 0.0f;
-    for (size_t i = 0; i < ids.size(); i += kChunk) {
-      const size_t n = std::min(kChunk, ids.size() - i);
-      mmap_int8_view->GatherRows(ids.data() + i, static_cast<int64_t>(n),
-                                 chunk_dst.data());
-      acc += chunk_dst[0] +
-             chunk_dst[(n - 1) * static_cast<size_t>(cols) +
-                       static_cast<size_t>(cols - 1)];
-    }
-    g_sink = acc;
-    return std::chrono::duration<double, std::nano>(
-               std::chrono::steady_clock::now() - begin)
-               .count() /
-           static_cast<double>(ids.size());
-  };
-  time_unfused_ns();  // warm up
-  time_fused_ns();
-  // Both paths are reported as the best of several interleaved reps: the
-  // fused path is latency-hiding-bound, so on a shared host a noisy
-  // neighbor inflates any single rep; the minimum is the stable estimate of
-  // the path's own cost (the reps span enough wall time to catch a quiet
-  // slice, and both paths get the same treatment).
-  std::vector<double> unfused_ns, fused_ns;
-  for (int r = 0; r < 15; ++r) {
-    unfused_ns.push_back(time_unfused_ns());
-    fused_ns.push_back(time_fused_ns());
-  }
-  const double unfused_row_ns = *std::min_element(unfused_ns.begin(),
-                                                  unfused_ns.end());
-  const double fused_row_ns = *std::min_element(fused_ns.begin(),
-                                                fused_ns.end());
 
   const uint64_t heap_bytes = static_cast<uint64_t>(rows * cols) * sizeof(float);
   const uint64_t float_mapped = float_store.value()->mapped_bytes();
@@ -228,8 +155,6 @@ int main(int argc, char** argv) {
 
   std::printf("gather ns/row: heap %.1f, mmap-float %.1f, mmap-int8 %.1f\n",
               heap_row_ns, float_row_ns, int8_row_ns);
-  std::printf("int8 gather+dequant ns/row: unfused-scalar %.1f, fused-simd %.1f\n",
-              unfused_row_ns, fused_row_ns);
   std::printf("resident bytes: heap %llu, mmap-float %llu, mmap-int8 %llu "
               "(%.2fx reduction)\n",
               static_cast<unsigned long long>(heap_bytes),
@@ -241,7 +166,7 @@ int main(int argc, char** argv) {
   // space, planted mid-table) through the same float store twice. The
   // budgeted run enables the residency manager with a quarter-of-the-table
   // budget and sweeps the popularity clock on a fixed cadence: the clock
-  // pins the hot shards, MADV_DONTNEEDs the cold tail and WillGather
+  // pins the hot shards, MADV_DONTNEEDs the cold tail and each GatherRows
   // batch-prefetches re-admitted ranges, so the resident set stays bounded
   // while the cold tail pays demand faults. The unmanaged run is the classic
   // mmap store — nothing evicts, everything touched stays resident, no
@@ -281,8 +206,9 @@ int main(int argc, char** argv) {
       st.value()->EnableResidency(ro);
       view = st.value()->View("static").value();
     } else {
-      // View opened before residency is enabled, so no hooks are wired and
-      // nothing ever evicts; the manager below is only the mincore probe.
+      // View opened before residency is enabled, so it reports no gathers
+      // and nothing ever evicts; the manager below is only the mincore
+      // probe.
       view = st.value()->View("static").value();
       ro.budget_bytes = static_cast<int64_t>(float_mapped) * 2;
       st.value()->EnableResidency(ro);
@@ -469,7 +395,6 @@ int main(int argc, char** argv) {
   // the compacted flat generation — content-referenced parent shards mean
   // both read the same mapped bytes for pre-existing rows.
   const int64_t chain_depth = delta_engine->store_generation();
-  std::vector<float> chain_dst(static_cast<size_t>(frozen.size(1)));
   std::vector<int64_t> chain_ids(100000);
   {
     util::Rng rng(77);
@@ -479,9 +404,9 @@ int main(int argc, char** argv) {
   }
   auto chain_view = delta_engine->entity_store()->View("static");
   BOOTLEG_CHECK(chain_view.ok());
-  TimeGatherNs(*chain_view.value(), chain_ids, chain_dst.data());  // warmup
+  TimeChunkedGatherNs(*chain_view.value(), chain_ids);  // warmup
   const double chain_gather_ns =
-      TimeGatherNs(*chain_view.value(), chain_ids, chain_dst.data());
+      TimeChunkedGatherNs(*chain_view.value(), chain_ids);
 
   const auto c0 = std::chrono::steady_clock::now();
   index::CompactResult compacted;
@@ -492,9 +417,9 @@ int main(int argc, char** argv) {
   BOOTLEG_CHECK(delta_engine->Reload().ok());
   auto flat_view = delta_engine->entity_store()->View("static");
   BOOTLEG_CHECK(flat_view.ok());
-  TimeGatherNs(*flat_view.value(), chain_ids, chain_dst.data());  // warmup
+  TimeChunkedGatherNs(*flat_view.value(), chain_ids);  // warmup
   const double flat_gather_ns =
-      TimeGatherNs(*flat_view.value(), chain_ids, chain_dst.data());
+      TimeChunkedGatherNs(*flat_view.value(), chain_ids);
 
   std::printf(
       "store delta (%d live adds): add_entity %.2f ms, first correct serve "
@@ -513,8 +438,6 @@ int main(int argc, char** argv) {
       "  \"gather_table\": {\"rows\": %lld, \"cols\": %lld, \"lookups\": %zu},\n"
       "  \"gather_ns_per_row\": {\"heap\": %.2f, \"mmap_float\": %.2f, "
       "\"mmap_int8\": %.2f},\n"
-      "  \"int8_gather_fusion_ns_per_row\": {\"unfused_scalar\": %.2f, "
-      "\"fused_simd\": %.2f},\n"
       "  \"resident_bytes\": {\"heap_float\": %llu, \"mmap_float\": %llu, "
       "\"mmap_int8\": %llu},\n"
       "  \"int8_memory_reduction_x\": %.3f,\n"
@@ -533,7 +456,7 @@ int main(int argc, char** argv) {
       "\"compacted_gather_ns_per_row\": %.2f}\n"
       "}\n",
       static_cast<long long>(rows), static_cast<long long>(cols), ids.size(),
-      heap_row_ns, float_row_ns, int8_row_ns, unfused_row_ns, fused_row_ns,
+      heap_row_ns, float_row_ns, int8_row_ns,
       static_cast<unsigned long long>(heap_bytes),
       static_cast<unsigned long long>(float_mapped),
       static_cast<unsigned long long>(int8_mapped), memory_reduction,

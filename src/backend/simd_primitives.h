@@ -12,8 +12,8 @@
 //
 // DequantRow is element-wise exact across the SIMD and scalar paths (an exact
 // int8→f32 widening plus one correctly-rounded multiply per element), so
-// GatherRow through it stays bit-identical to the scalar store path on every
-// machine.
+// an int8 gather through it stays bit-identical to the scalar
+// store::DequantizeRow on every machine.
 #ifndef BOOTLEG_BACKEND_SIMD_PRIMITIVES_H_
 #define BOOTLEG_BACKEND_SIMD_PRIMITIVES_H_
 
@@ -63,7 +63,7 @@ inline bool CpuHasAvx512() {
 
 /// dst[j] = float(q[j]) * scale. int8→f32 conversion is exact and the single
 /// multiply is correctly rounded, so the vector and scalar paths agree
-/// bitwise; MmapInt8View::GatherRow funnels through this.
+/// bitwise; the mapped store view's int8 GatherRows funnels through this.
 inline void DequantRow(const int8_t* q, int64_t n, float scale, float* dst) {
 #if BOOTLEG_SIMD_AVX512
   if (CpuHasAvx512()) {

@@ -509,42 +509,17 @@ Tensor BootlegModel::GatherFeatures(InferenceScratch& s, const Tensor& tpred,
   const int64_t static_cols = view.cols();
   const int64_t post_cols = static_cols - pre_cols;
   const int64_t coarse = tpred.empty() ? 0 : config_.coarse_dim;
-  // One gather for every deployment (the heap table is a HeapView). Float
-  // views serve zero-copy row pointers (with a small prefetch lookahead so
-  // the copy loop is not bound by per-row miss latency); non-float stores
-  // run one batched fused gather+dequant over the whole id list, then the
-  // assembly reads the dequantized rows from scratch.
+  // One gather for every deployment (the heap table is a HeapView): the
+  // view stages the candidate rows in scratch, then the assembly splices
+  // the coarse-type columns in.
   static obs::LatencyHistogram* gather_hist =
       obs::MetricsRegistry::Global().GetHistogram("store.gather_us");
   const auto gather_start = std::chrono::steady_clock::now();
-  constexpr int64_t kGatherLookahead = 8;
-  // Batch-ahead residency advisory: mapped views under a resident-set
-  // budget see the whole id list up front, so evicted shards this batch
-  // touches are WILLNEEDed before the row loop reaches them. (GatherRows
-  // repeats the hint internally for direct callers; no-op elsewhere.)
-  // total_rows > 0 here: every kept sentence has a candidate row.
-  view.WillGather(s.row_entities.data(), total_rows);
-  const bool zero_copy = view.RowPtr(s.row_entities[0]) != nullptr;
   std::vector<float>& row_buf = s.row_buf;
-  if (!zero_copy) {
-    row_buf.resize(static_cast<size_t>(total_rows * static_cols));
-    view.GatherRows(s.row_entities.data(), total_rows, row_buf.data());
-  } else {
-    for (int64_t r = 0; r < std::min(kGatherLookahead, total_rows); ++r) {
-      view.PrefetchRow(s.row_entities[static_cast<size_t>(r)]);
-    }
-  }
+  row_buf.resize(static_cast<size_t>(total_rows * static_cols));
+  view.GatherRows(s.row_entities.data(), total_rows, row_buf.data());
   for (int64_t r = 0; r < total_rows; ++r) {
-    const float* src;
-    if (zero_copy) {
-      if (r + kGatherLookahead < total_rows) {
-        view.PrefetchRow(
-            s.row_entities[static_cast<size_t>(r + kGatherLookahead)]);
-      }
-      src = view.RowPtr(s.row_entities[static_cast<size_t>(r)]);
-    } else {
-      src = row_buf.data() + r * static_cols;
-    }
+    const float* src = row_buf.data() + r * static_cols;
     float* dst = x.data() + r * input_dim_;
     std::copy(src, src + pre_cols, dst);
     if (coarse > 0) {
@@ -628,8 +603,7 @@ std::vector<BootlegModel::ContextualMention> BootlegModel::ContextualEmbeddings(
 /// Predict gathers through it, so a Predict after any weight change (a
 /// training step, CompressEntityEmbeddings, a checkpoint load) reads the
 /// current values; PrepareFrozenInference materializes it into the frozen
-/// table. RowPtr stays nullptr, so PredictRows stages the rows through
-/// GatherRows into its scratch.
+/// table.
 class BootlegModel::LiveRowView : public store::StoreView {
  public:
   explicit LiveRowView(const BootlegModel* model) : model_(model) {
@@ -645,16 +619,20 @@ class BootlegModel::LiveRowView : public store::StoreView {
 
   int64_t rows() const override { return model_->kb_->num_entities(); }
   int64_t cols() const override { return model_->FrozenStaticCols(); }
-  void GatherRow(int64_t id, float* dst) const override {
+  void GatherRows(const int64_t* ids, int64_t n, float* dst) const override {
     const BootlegModel& m = *model_;
-    const float* slot =
-        m.config_.use_entity
-            ? m.entity_emb_->table().data() + id * m.config_.entity_dim
-            : nullptr;
-    const int64_t title = m.config_.use_title_feature
-                              ? m.title_token_ids_[static_cast<size_t>(id)]
-                              : 0;
-    m.ComputeFrozenRow(m.kb_->entity(id), slot, title, dst);
+    const int64_t width = cols();
+    for (int64_t i = 0; i < n; ++i) {
+      const int64_t id = ids[i];
+      const float* slot =
+          m.config_.use_entity
+              ? m.entity_emb_->table().data() + id * m.config_.entity_dim
+              : nullptr;
+      const int64_t title = m.config_.use_title_feature
+                                ? m.title_token_ids_[static_cast<size_t>(id)]
+                                : 0;
+      m.ComputeFrozenRow(m.kb_->entity(id), slot, title, dst + i * width);
+    }
   }
 
  private:
@@ -740,8 +718,8 @@ void BootlegModel::PrepareFrozenInference() {
   const int64_t n = live.rows();
   const int64_t cols = live.cols();
   frozen_static_ = Tensor({n, cols});
-  for (kb::EntityId e = 0; e < n; ++e) {
-    live.GatherRow(e, frozen_static_.data() + e * cols);
+  for (int64_t e = 0; e < n; ++e) {
+    live.GatherRows(&e, 1, frozen_static_.data() + e * cols);
   }
   // PredictBatch gathers through a view either way; this one borrows the
   // table's buffer and is replaced whenever the table is.

@@ -92,7 +92,7 @@ class BootlegModel : public eval::NedScorer {
     std::vector<int64_t> sent_mentions;
     std::vector<nn::AttentionSegment> p2e_segments;
     std::vector<nn::AttentionSegment> self_segments;
-    std::vector<float> row_buf;  // batch-gather staging for non-float views
+    std::vector<float> row_buf;  // GatherFeatures' staging for gathered rows
     /// Optional cooperative cancellation, polled between PredictBatch model
     /// stages. When it returns true the batch is abandoned and PredictBatch
     /// returns an empty vector (no per-example entries) — the serving layer
@@ -253,8 +253,9 @@ class BootlegModel : public eval::NedScorer {
   tensor::Var LiveFeatures(const InferenceScratch& s, const tensor::Var& tpred,
                            util::Rng* rng, bool train) const;
 
-  /// The value forward's candidate features: each row's static columns
-  /// gathered from `view`, with the `tpred` columns inserted.
+  /// The value forward's candidate features: one GatherRows of every
+  /// candidate row's static columns from `view` into `s.row_buf`, then one
+  /// loop that copies each row out with the `tpred` columns inserted.
   tensor::Tensor GatherFeatures(InferenceScratch& s, const tensor::Tensor& tpred,
                                 const store::StoreView& view) const;
 

@@ -293,11 +293,15 @@ util::Status InduceRow(const core::BootlegModel& model,
           "cannot induce an entity slot from an empty store");
     }
     const int64_t entity_dim = config.entity_dim;
+    const int64_t n = static_cast<int64_t>(siblings.size());
+    std::vector<float> rows(static_cast<size_t>(n * cols));
+    view.GatherRows(siblings.data(), n, rows.data());
+    // Summed sibling by sibling, in list order: the centroid's bytes depend
+    // on that order.
     slot.assign(static_cast<size_t>(entity_dim), 0.0f);
-    std::vector<float> buf(static_cast<size_t>(cols));
-    for (int64_t e : siblings) {
-      view.GatherRow(e, buf.data());
-      for (int64_t j = 0; j < entity_dim; ++j) slot[j] += buf[j];
+    for (int64_t i = 0; i < n; ++i) {
+      const float* r = rows.data() + i * cols;
+      for (int64_t j = 0; j < entity_dim; ++j) slot[j] += r[j];
     }
     const float inv = 1.0f / static_cast<float>(siblings.size());
     for (int64_t j = 0; j < entity_dim; ++j) slot[j] *= inv;

@@ -503,207 +503,100 @@ util::Status MappedFile::Map(const std::string& path) {
 }
 
 // ---------------------------------------------------------------------------
-// Mapped views
+// Views
 // ---------------------------------------------------------------------------
 
-class MmapFloatView : public StoreView {
+namespace {
+
+/// Rows a gather keeps in flight ahead of its copy, so the copy does not
+/// wait out each row's miss. In store_bench (uniform-random ids over a
+/// 20k-row table) 8 rows read faster than 32 for 512-byte float rows and no
+/// slower for 128-byte int8 rows.
+constexpr int64_t kPrefetchRows = 8;
+
+/// Pulls [p, p + bytes) toward L1 ahead of a row copy.
+void PrefetchBytes(const void* p, int64_t bytes) {
+  const char* c = static_cast<const char*>(p);
+  for (const char* end = c + bytes; c < end; c += 64) {
+    __builtin_prefetch(c, 0, 3);
+  }
+}
+
+}  // namespace
+
+void HeapView::GatherRows(const int64_t* ids, int64_t n, float* dst) const {
+  const int64_t row_bytes = cols_ * static_cast<int64_t>(sizeof(float));
+  for (int64_t i = 0; i < std::min(kPrefetchRows, n); ++i) {
+    PrefetchBytes(data_ + ids[i] * cols_, row_bytes);
+  }
+  for (int64_t i = 0; i < n; ++i) {
+    if (i + kPrefetchRows < n) {
+      PrefetchBytes(data_ + ids[i + kPrefetchRows] * cols_, row_bytes);
+    }
+    std::memcpy(dst + i * cols_, data_ + ids[i] * cols_,
+                static_cast<size_t>(row_bytes));
+  }
+}
+
+/// The view over one mapped table, either dtype: rows are located through
+/// the table's ShardTiling, then copied (float32) or dequantized (int8,
+/// through the SIMD core, bit-identical to DequantizeRow: int8→f32 is exact
+/// and the one multiply per element is correctly rounded).
+class MappedView : public StoreView {
  public:
-  MmapFloatView(const EmbeddingStore::MappedTable* table,
-                ResidencyPolicy* residency)
-      : table_(table), residency_(residency) {}
+  MappedView(const EmbeddingStore::MappedTable* table,
+             ResidencyManager* residency, size_t table_index)
+      : table_(table), residency_(residency), table_index_(table_index) {}
 
   int64_t rows() const override { return table_->info.rows; }
   int64_t cols() const override { return table_->info.cols; }
 
-  const float* RowPtr(int64_t id) const override {
-    GatherRowsCounter()->Add(1);
-    int64_t local, si;
-    const EmbeddingStore::MappedShard* s = Locate(id, &local, &si);
-    if (residency_ != nullptr) residency_->NoteRow(si);
-    return reinterpret_cast<const float*>(s->rows) + local * table_->info.cols;
-  }
-
-  void GatherRow(int64_t id, float* dst) const override {
-    const float* src = RowPtr(id);
-    for (int64_t j = 0; j < table_->info.cols; ++j) dst[j] = src[j];
-  }
-
   void GatherRows(const int64_t* ids, int64_t n, float* dst) const override {
     if (n <= 0) return;
     GatherRowsCounter()->Add(n);  // one update for the whole batch
-    // Batch-ahead residency pass: bump shard popularity once per row and
-    // WILLNEED the touched row ranges of any evicted shard before the copy
-    // loop faults on them. The loop itself skips the per-row NoteRow — the
-    // batch pass already counted these rows.
-    if (residency_ != nullptr) residency_->WillGather(ids, n);
+    // Batch-ahead residency: bump the popularity of every touched shard and
+    // WILLNEED the rows of any evicted one before the loop below faults.
+    if (residency_ != nullptr) residency_->WillGather(table_index_, ids, n);
     const int64_t cols = table_->info.cols;
-    for (int64_t i = 0; i < n; ++i) {
-      int64_t local, si;
-      const EmbeddingStore::MappedShard* s = Locate(ids[i], &local, &si);
-      const float* src =
-          reinterpret_cast<const float*>(s->rows) + local * cols;
-      float* out = dst + i * cols;
-      for (int64_t j = 0; j < cols; ++j) out[j] = src[j];
-    }
-  }
-
-  void PrefetchRow(int64_t id) const override {
-    int64_t local, si;
-    const EmbeddingStore::MappedShard* s = Locate(id, &local, &si);
-    const int64_t cols = table_->info.cols;
-    const char* p = reinterpret_cast<const char*>(
-        reinterpret_cast<const float*>(s->rows) + local * cols);
-    const char* end = p + cols * static_cast<int64_t>(sizeof(float));
-    for (; p < end; p += 64) __builtin_prefetch(p, 0, 3);
-  }
-
-  void WillGather(const int64_t* ids, int64_t n) const override {
-    if (residency_ != nullptr) residency_->WillGather(ids, n);
-  }
-
-  ResidencyPolicy* residency_policy() const override { return residency_; }
-
- private:
-  /// O(1) divide on uniform tilings; binary search over the cumulative
-  /// shard boundaries on the ragged tilings a delta chain produces.
-  const EmbeddingStore::MappedShard* Locate(int64_t id, int64_t* local,
-                                            int64_t* shard) const {
-    const int64_t rps = table_->rows_per_shard;
-    int64_t si;
-    if (rps > 0) {
-      si = id / rps;
-    } else {
-      const auto& b = table_->row_begins;
-      si = static_cast<int64_t>(std::upper_bound(b.begin(), b.end(), id) -
-                                b.begin()) -
-           1;
-    }
-    *local = id - table_->row_begins[static_cast<size_t>(si)];
-    *shard = si;
-    return &table_->shards[static_cast<size_t>(si)];
-  }
-
-  const EmbeddingStore::MappedTable* table_;  // borrowed from the store
-  ResidencyPolicy* residency_;                // nullable; owned by the store
-};
-
-class MmapInt8View : public StoreView {
- public:
-  MmapInt8View(const EmbeddingStore::MappedTable* table,
-               ResidencyPolicy* residency)
-      : table_(table), residency_(residency) {}
-
-  int64_t rows() const override { return table_->info.rows; }
-  int64_t cols() const override { return table_->info.cols; }
-
-  void GatherRow(int64_t id, float* dst) const override {
-    GatherRowsCounter()->Add(1);
-    int64_t local, si;
-    const EmbeddingStore::MappedShard& s = *Locate(id, &local, &si);
-    if (residency_ != nullptr) residency_->NoteRow(si);
-    const int64_t cols = table_->info.cols;
-    const int8_t* q = reinterpret_cast<const int8_t*>(s.rows) + local * cols;
-    // Fused gather+dequant: convert straight from the mapped int8 row into
-    // dst with the SIMD core (one pass, no staging copy). Bit-identical to
-    // DequantizeRow — int8→f32 is exact and the per-element multiply is
-    // correctly rounded in both paths.
-    backend::DequantRow(q, cols, s.scales[local], dst);
-  }
-
-  void GatherRows(const int64_t* ids, int64_t n, float* dst) const override {
-    if (n <= 0) return;
-    GatherRowsCounter()->Add(n);  // one update for the whole batch
-    // Batch-ahead residency pass: bump shard popularity and WILLNEED any
-    // evicted shard this batch touches before the gather loop reaches it.
-    if (residency_ != nullptr) residency_->WillGather(ids, n);
-    const int64_t cols = table_->info.cols;
-    const int64_t rps = table_->rows_per_shard;
-    // One double multiply + boundary fixup instead of an int64 divide per
-    // shard lookup; exact for every id the mantissa can hold (rows are far
-    // below 2^52), and the fixup corrects any boundary rounding regardless.
-    // Ragged (delta-chain) tilings take the binary-search path instead.
-    const double inv = rps > 0 ? 1.0 / static_cast<double>(rps) : 0.0;
-    const auto locate = [&](int64_t id, const float** scale) {
-      int64_t si;
-      if (rps > 0) {
-        si = static_cast<int64_t>(static_cast<double>(id) * inv);
-        if (id < si * rps) {
-          --si;
-        } else if (id >= (si + 1) * rps) {
-          ++si;
-        }
-      } else {
-        const auto& b = table_->row_begins;
-        si = static_cast<int64_t>(std::upper_bound(b.begin(), b.end(), id) -
-                                  b.begin()) -
-             1;
-      }
+    const bool int8 = table_->info.dtype == Dtype::kInt8;
+    const int64_t row_bytes =
+        cols * static_cast<int64_t>(ElemBytes(table_->info.dtype));
+    // Each row is located once, when it enters the prefetch window; the
+    // window's ring holds its address until the copy.
+    struct Row {
+      const uint8_t* data;
+      const float* scale;  // int8 only
+    };
+    Row window[kPrefetchRows];
+    const auto enter = [&](int64_t i) {
+      int64_t local;
       const EmbeddingStore::MappedShard& s =
-          table_->shards[static_cast<size_t>(si)];
-      const int64_t local = id - table_->row_begins[static_cast<size_t>(si)];
-      *scale = s.scales + local;
-      return reinterpret_cast<const int8_t*>(s.rows) + local * cols;
+          table_->shards[static_cast<size_t>(
+              table_->tiling.Locate(ids[i], &local))];
+      Row& row = window[i % kPrefetchRows];
+      row.data = s.rows + local * row_bytes;
+      row.scale = int8 ? s.scales + local : nullptr;
+      if (int8) __builtin_prefetch(row.scale, 0, 3);
+      PrefetchBytes(row.data, row_bytes);
     };
-    // Keep a window of upcoming rows' cache lines in flight so the fused
-    // dequant runs at bandwidth, not per-row miss latency. High-locality
-    // hint (pull into L1, not just L2/L3) and a deep window measure fastest
-    // for the ~100-byte rows this serves.
-    constexpr int64_t kLookahead = 32;
-    const auto prefetch = [&](int64_t id) {
-      const float* scale;
-      const char* p = reinterpret_cast<const char*>(locate(id, &scale));
-      __builtin_prefetch(scale, 0, 3);
-      for (const char* end = p + cols; p < end; p += 64) {
-        __builtin_prefetch(p, 0, 3);
-      }
-    };
-    for (int64_t i = 0; i < std::min(kLookahead, n); ++i) prefetch(ids[i]);
+    for (int64_t i = 0; i < std::min(kPrefetchRows, n); ++i) enter(i);
     for (int64_t i = 0; i < n; ++i) {
-      if (i + kLookahead < n) prefetch(ids[i + kLookahead]);
-      const float* scale;
-      const int8_t* q = locate(ids[i], &scale);
-      backend::DequantRow(q, cols, *scale, dst + i * cols);
+      const Row row = window[i % kPrefetchRows];
+      if (i + kPrefetchRows < n) enter(i + kPrefetchRows);
+      float* out = dst + i * cols;
+      if (int8) {
+        backend::DequantRow(reinterpret_cast<const int8_t*>(row.data), cols,
+                            *row.scale, out);
+      } else {
+        std::memcpy(out, row.data, static_cast<size_t>(row_bytes));
+      }
     }
   }
-
-  void PrefetchRow(int64_t id) const override {
-    int64_t local, si;
-    const EmbeddingStore::MappedShard& s = *Locate(id, &local, &si);
-    const int64_t cols = table_->info.cols;
-    const char* p = reinterpret_cast<const char*>(
-        reinterpret_cast<const int8_t*>(s.rows) + local * cols);
-    const char* end = p + cols;
-    // The row's scale sits in a separate mapped region; pull it too.
-    __builtin_prefetch(s.scales + local, 0, 3);
-    for (; p < end; p += 64) __builtin_prefetch(p, 0, 3);
-  }
-
-  void WillGather(const int64_t* ids, int64_t n) const override {
-    if (residency_ != nullptr) residency_->WillGather(ids, n);
-  }
-
-  ResidencyPolicy* residency_policy() const override { return residency_; }
 
  private:
-  const EmbeddingStore::MappedShard* Locate(int64_t id, int64_t* local,
-                                            int64_t* shard) const {
-    const int64_t rps = table_->rows_per_shard;
-    int64_t si;
-    if (rps > 0) {
-      si = id / rps;
-    } else {
-      const auto& b = table_->row_begins;
-      si = static_cast<int64_t>(std::upper_bound(b.begin(), b.end(), id) -
-                                b.begin()) -
-           1;
-    }
-    *local = id - table_->row_begins[static_cast<size_t>(si)];
-    *shard = si;
-    return &table_->shards[static_cast<size_t>(si)];
-  }
-
   const EmbeddingStore::MappedTable* table_;  // borrowed from the store
-  ResidencyPolicy* residency_;                // nullable; owned by the store
+  ResidencyManager* residency_;               // nullable; owned by the store
+  size_t table_index_;  // in the store's tables and the manager's alike
 };
 
 // ---------------------------------------------------------------------------
@@ -735,7 +628,8 @@ util::Status EmbeddingStore::Load(const std::string& dir) {
     // appends small ragged shards, for which lookups binary-search the
     // cumulative boundaries instead.
     int64_t expect_begin = 0;
-    mt.row_begins.reserve(info.shards.size() + 1);
+    std::vector<int64_t>& row_begins = mt.tiling.row_begins;
+    row_begins.reserve(info.shards.size() + 1);
     for (const ShardInfo& shard : info.shards) {
       if (shard.row_begin != expect_begin) {
         return util::Status::Corruption("store table " + info.name +
@@ -745,10 +639,10 @@ util::Status EmbeddingStore::Load(const std::string& dir) {
         return util::Status::Corruption("store table " + info.name +
                                         " has an empty shard: " + dir);
       }
-      mt.row_begins.push_back(shard.row_begin);
+      row_begins.push_back(shard.row_begin);
       expect_begin += shard.row_count;
     }
-    mt.row_begins.push_back(expect_begin);
+    row_begins.push_back(expect_begin);
     if (expect_begin != info.rows) {
       return util::Status::Corruption("store table " + info.name +
                                       " shards do not cover every row");
@@ -758,7 +652,7 @@ util::Status EmbeddingStore::Load(const std::string& dir) {
     for (size_t si = 0; si + 1 < info.shards.size() && uniform; ++si) {
       uniform = info.shards[si].row_count == tile;
     }
-    mt.rows_per_shard = uniform ? tile : 0;
+    mt.tiling.rows_per_shard = uniform ? tile : 0;
 
     for (const ShardInfo& shard : info.shards) {
       const std::string path = ResolveChained(dir, shard.dir, shard.file);
@@ -899,14 +793,12 @@ int64_t EmbeddingStore::num_shards() const {
 
 util::StatusOr<std::shared_ptr<StoreView>> EmbeddingStore::View(
     const std::string& name) const {
-  for (const MappedTable& mt : mapped_) {
-    if (mt.info.name != name) continue;
-    ResidencyPolicy* hook =
-        residency_ != nullptr ? residency_->TableHook(name) : nullptr;
-    if (mt.info.dtype == Dtype::kInt8) {
-      return std::shared_ptr<StoreView>(new MmapInt8View(&mt, hook));
-    }
-    return std::shared_ptr<StoreView>(new MmapFloatView(&mt, hook));
+  // The residency manager registers tables in mapped_ order, so a table's
+  // index here is its index there too.
+  for (size_t ti = 0; ti < mapped_.size(); ++ti) {
+    if (mapped_[ti].info.name != name) continue;
+    return std::shared_ptr<StoreView>(
+        new MappedView(&mapped_[ti], residency_.get(), ti));
   }
   return util::Status::NotFound("store has no table named " + name);
 }
@@ -919,8 +811,7 @@ void EmbeddingStore::EnableResidency(const ResidencyOptions& options,
   for (const MappedTable& mt : mapped_) {
     ResidencyTableSpec spec;
     spec.name = mt.info.name;
-    spec.rows_per_shard = mt.rows_per_shard;
-    spec.row_begins = mt.row_begins;
+    spec.tiling = mt.tiling;
     spec.shards.reserve(mt.shards.size());
     for (const MappedShard& ms : mt.shards) {
       // Advise the whole mapped file: the base is page-aligned (an mmap

@@ -11,16 +11,14 @@
 
 namespace bootleg::store {
 
-/// Read-only [rows × cols] float matrix abstraction between the model's
-/// frozen-inference gather path and whatever holds the rows: a heap tensor
-/// (the classic PrepareFrozenInference table), a memory-mapped float shard
-/// set (zero-copy), or a memory-mapped int8 shard set (dequantize-on-gather
-/// into the caller's staging buffer).
+/// Read-only [rows × cols] float matrix between the model's frozen-inference
+/// gather and whatever holds the rows: a heap table (HeapView), a
+/// memory-mapped float32 or int8 shard set (EmbeddingStore::View), or the
+/// model's live tables, computed on demand.
 ///
-/// Contract: RowPtr() returns a pointer to `cols()` contiguous floats when
-/// the storage is raw float (heap or mmap) and nullptr otherwise; callers
-/// fall back to GatherRow(), which always works. Implementations are
-/// immutable after construction and safe to share across serving threads.
+/// Rows leave a view one way, GatherRows; a caller that wants one row passes
+/// a one-element id list. Implementations are immutable after construction
+/// and safe to share across serving threads.
 class StoreView {
  public:
   virtual ~StoreView() = default;
@@ -28,42 +26,19 @@ class StoreView {
   virtual int64_t rows() const = 0;
   virtual int64_t cols() const = 0;
 
-  /// Copies (dequantizing if needed) row `id` into dst[0..cols()).
-  virtual void GatherRow(int64_t id, float* dst) const = 0;
-
-  /// Zero-copy row pointer, or nullptr when the storage is not raw float.
-  virtual const float* RowPtr(int64_t /*id*/) const { return nullptr; }
-
-  /// Hints that row `id` will be gathered shortly. Batch gather loops call
-  /// this a few ids ahead so the row's cache lines are in flight by the time
-  /// GatherRow/RowPtr touches them; purely advisory, never changes results.
-  virtual void PrefetchRow(int64_t /*id*/) const {}
-
-  /// Gathers rows ids[0..n) into dst rows of cols() floats each — bitwise
-  /// the same values as n GatherRow calls, but implementations amortize the
-  /// per-row costs (metrics update, shard lookup) and keep a prefetch window
-  /// of upcoming rows in flight, so batch gathers are bandwidth-bound rather
-  /// than per-row-miss-latency-bound.
-  virtual void GatherRows(const int64_t* ids, int64_t n, float* dst) const {
-    const int64_t c = cols();
-    for (int64_t i = 0; i < n; ++i) GatherRow(ids[i], dst + i * c);
-  }
-
-  /// Advisory: rows ids[0..n) are about to be gathered (by GatherRows or a
-  /// zero-copy RowPtr loop). Mapped views under residency management forward
-  /// this to their ResidencyPolicy, which bumps shard popularity and issues
-  /// batch-ahead MADV_WILLNEED on any touched shard the clock evicted; a
-  /// no-op everywhere else (heap views, unmanaged stores). Never changes
-  /// gather results.
-  virtual void WillGather(const int64_t* /*ids*/, int64_t /*n*/) const {}
-
-  /// The residency policy consulted by this view, or nullptr when the view
-  /// is not under residency management (heap views, unmanaged stores).
-  virtual ResidencyPolicy* residency_policy() const { return nullptr; }
+  /// Copies rows ids[0..n) (each in [0, rows()), repeats allowed, any order)
+  /// into dst, cols() floats per row; int8 storage dequantizes on the way.
+  /// A row's bytes never depend on the rest of the list, so gathering a
+  /// batch equals gathering each id alone. Views over memory keep a window
+  /// of upcoming rows' cache lines in flight, and a mapped view under
+  /// residency management hands the whole id list to its ResidencyManager
+  /// once per call.
+  virtual void GatherRows(const int64_t* ids, int64_t n, float* dst) const = 0;
 };
 
 /// StoreView over caller-owned contiguous float rows (the in-memory frozen
-/// table). Does not own the data; the owner must outlive the view.
+/// table); GatherRows copies each row out. Does not own the data; the owner
+/// must outlive the view.
 class HeapView : public StoreView {
  public:
   HeapView(const float* data, int64_t rows, int64_t cols)
@@ -71,18 +46,7 @@ class HeapView : public StoreView {
 
   int64_t rows() const override { return rows_; }
   int64_t cols() const override { return cols_; }
-  void GatherRow(int64_t id, float* dst) const override {
-    const float* src = data_ + id * cols_;
-    for (int64_t j = 0; j < cols_; ++j) dst[j] = src[j];
-  }
-  const float* RowPtr(int64_t id) const override {
-    return data_ + id * cols_;
-  }
-  void PrefetchRow(int64_t id) const override {
-    const char* p = reinterpret_cast<const char*>(data_ + id * cols_);
-    const char* end = reinterpret_cast<const char*>(data_ + (id + 1) * cols_);
-    for (; p < end; p += 64) __builtin_prefetch(p, 0, 3);
-  }
+  void GatherRows(const int64_t* ids, int64_t n, float* dst) const override;
 
  private:
   const float* data_;
@@ -92,7 +56,7 @@ class HeapView : public StoreView {
 
 /// Element encoding of a stored table.
 enum class Dtype : uint32_t {
-  kFloat32 = 0,  // rows are raw little-endian float32 — mapped zero-copy
+  kFloat32 = 0,  // rows are raw little-endian float32
   kInt8 = 1,     // per-row symmetric int8: value ≈ q * scale, zero_point = 0
 };
 
@@ -253,19 +217,21 @@ class EmbeddingStore {
   int64_t num_shards() const;
 
   /// A view gathering rows of `name` through the mappings. The view borrows
-  /// the store's mappings: callers must keep the EmbeddingStore alive (the
+  /// the store's mappings (and its residency manager, when one is enabled
+  /// before this call): callers must keep the EmbeddingStore alive (the
   /// serving layer holds both in one shared generation object). NotFound
   /// when no such table exists.
   util::StatusOr<std::shared_ptr<StoreView>> View(const std::string& name) const;
 
   /// Enables hot-set residency management over the mappings. Call before
-  /// View() so the views pick up the policy hooks — the serving layer
-  /// enables it on a freshly opened generation before publishing the
+  /// View() so the views report their gathers to the manager — the serving
+  /// layer enables it on a freshly opened generation before publishing the
   /// shared_ptr snapshot, which keeps every advisory confined to pinned
   /// mappings. budget_bytes ≤ 0 leaves the store unmanaged (no manager, no
-  /// hooks, nothing changes). Starts the background clock sweeper unless the
-  /// options say otherwise; `previous` (nullable) seeds shard popularity
-  /// from the displaced generation so the warm-up prefetches the right head.
+  /// advisories, nothing changes). Starts the background clock sweeper
+  /// unless the options say otherwise; `previous` (nullable) seeds shard
+  /// popularity from the displaced generation so the warm-up prefetches the
+  /// right head.
   void EnableResidency(const ResidencyOptions& options,
                        const ResidencyManager* previous = nullptr);
 
@@ -286,12 +252,7 @@ class EmbeddingStore {
   struct MappedTable {
     TableInfo info;
     std::vector<MappedShard> shards;
-    /// Uniform tile size when every non-last shard holds the same row count
-    /// and the last holds no more (the flat-export layout; O(1) divide
-    /// lookup). 0 for the ragged tilings a delta chain produces — lookups
-    /// then binary-search `row_begins`.
-    int64_t rows_per_shard = 0;
-    std::vector<int64_t> row_begins;  // shards.size()+1 cumulative boundaries
+    ShardTiling tiling;
   };
 
   util::Status Load(const std::string& dir);
@@ -304,8 +265,7 @@ class EmbeddingStore {
   /// shard unmaps — advisories never chase a dead mapping.
   std::unique_ptr<ResidencyManager> residency_;
 
-  friend class MmapFloatView;
-  friend class MmapInt8View;
+  friend class MappedView;
 };
 
 // ---------------------------------------------------------------------------

@@ -41,8 +41,8 @@ obs::Gauge* ResidentBytesGauge() {
 
 /// Per-shard clock state. `hits` is the decayed popularity counter; the
 /// `resident` flag tracks the advisory state (true = the clock wants this
-/// shard's pages kept; false = MADV_DONTNEED was issued and the next access
-/// counts as a cold fault and re-admits on demand).
+/// shard's pages kept; false = MADV_DONTNEED was issued and the next batch
+/// that touches the shard counts a cold fault and re-admits it).
 struct ResidencyShardState {
   const uint8_t* base = nullptr;
   size_t bytes = 0;
@@ -62,16 +62,13 @@ void Advise(const ResidencyShardState& s, int advice) {
 
 }  // namespace
 
-/// One table's shard set plus the geometry needed to map row ids onto
-/// shards. Implements the view-facing ResidencyPolicy hooks.
-class ResidencyManager::Table : public ResidencyPolicy {
+/// One table's shard set plus the tiling that maps row ids onto shards.
+class ResidencyManager::Table {
  public:
   Table(ResidencyManager* mgr, ResidencyTableSpec spec)
       : mgr_(mgr),
         name_(std::move(spec.name)),
-        rows_per_shard_(spec.rows_per_shard),
-        row_begins_(std::move(spec.row_begins)),
-        n_(static_cast<int64_t>(spec.shards.size())),
+        tiling_(std::move(spec.tiling)),
         shards_(std::make_unique<ResidencyShardState[]>(spec.shards.size())) {
     for (size_t i = 0; i < spec.shards.size(); ++i) {
       shards_[i].base = spec.shards[i].base;
@@ -79,7 +76,7 @@ class ResidencyManager::Table : public ResidencyPolicy {
     }
   }
 
-  void WillGather(const int64_t* ids, int64_t n) override {
+  void WillGather(const int64_t* ids, int64_t n) {
     // One pass bumps popularity and collects, per evicted shard the batch
     // touches, the local row span it is about to read. The spans then turn
     // into MADV_WILLNEED over just those rows' pages — issuing a whole-shard
@@ -94,8 +91,7 @@ class ResidencyManager::Table : public ResidencyPolicy {
     int nspans = 0;
     for (int64_t i = 0; i < n; ++i) {
       int64_t local;
-      const int64_t si = LocateShard(ids[i], &local);
-      if (si < 0) continue;
+      const int64_t si = tiling_.Locate(ids[i], &local);
       ResidencyShardState& s = shards_[si];
       s.hits.fetch_add(1, std::memory_order_relaxed);
       if (s.resident.load(std::memory_order_relaxed)) continue;
@@ -107,7 +103,9 @@ class ResidencyManager::Table : public ResidencyPolicy {
       } else if (nspans < kMaxSpans) {
         spans[nspans++] = {si, local, local};
       } else {
-        mgr_->DemandAdmit(s);  // span table full: whole-shard fallback
+        // Span table full: re-admit the whole shard (the flag flips, so the
+        // shard's later rows in this batch skip this branch).
+        mgr_->AdmitRange(s, s.base, s.bytes);
       }
     }
     for (int sp = 0; sp < nspans; ++sp) {
@@ -115,12 +113,8 @@ class ResidencyManager::Table : public ResidencyPolicy {
     }
   }
 
-  void NoteRow(int64_t shard) override {
-    if (shard >= 0 && shard < n_) Touch(shards_[shard]);
-  }
-
   const std::string& name() const { return name_; }
-  int64_t num_shards() const { return n_; }
+  int64_t num_shards() const { return tiling_.shards(); }
   ResidencyShardState& shard(int64_t i) { return shards_[i]; }
   const ResidencyShardState& shard(int64_t i) const { return shards_[i]; }
 
@@ -130,46 +124,14 @@ class ResidencyManager::Table : public ResidencyPolicy {
   /// shards) and all but pathological delta chains.
   static constexpr int kMaxSpans = 32;
 
-  void Touch(ResidencyShardState& s) {
-    s.hits.fetch_add(1, std::memory_order_relaxed);
-    if (!s.resident.load(std::memory_order_relaxed)) mgr_->DemandAdmit(s);
-  }
-
-  /// Same shard mapping as the mmap views: O(1) divide on uniform tilings,
-  /// binary search over cumulative boundaries on ragged ones. Fills `local`
-  /// with the row index relative to the shard's first row.
-  int64_t LocateShard(int64_t id, int64_t* local = nullptr) const {
-    if (n_ == 0 || id < 0) return -1;
-    int64_t si;
-    if (rows_per_shard_ > 0) {
-      si = id / rows_per_shard_;
-      if (si >= n_) si = n_ - 1;
-      if (local != nullptr) *local = id - si * rows_per_shard_;
-    } else {
-      si = static_cast<int64_t>(std::upper_bound(row_begins_.begin(),
-                                                 row_begins_.end(), id) -
-                                row_begins_.begin()) -
-           1;
-      if (si < 0 || si >= n_) return -1;
-      if (local != nullptr) {
-        *local = id - row_begins_[static_cast<size_t>(si)];
-      }
-    }
-    return si;
-  }
-
   /// Re-admits shard `si` ahead of a batch that reads local rows [lo, hi].
   /// The byte span is estimated proportionally (headers and scales amortize
   /// into the per-row stride), page-aligned outward — an over-approximation
   /// is fine, the advisory is never correctness-bearing.
   void AdmitSpan(int64_t si, int64_t lo, int64_t hi) {
     ResidencyShardState& s = shards_[si];
-    const int64_t rows = RowsInShard(si);
-    if (rows <= 0 || s.bytes == 0) {
-      mgr_->DemandAdmit(s);
-      return;
-    }
     static const int64_t page = static_cast<int64_t>(sysconf(_SC_PAGESIZE));
+    const int64_t rows = tiling_.rows_in(si);  // > 0: no shard is empty
     const int64_t bytes = static_cast<int64_t>(s.bytes);
     int64_t off = bytes * lo / rows;
     off -= off % page;
@@ -178,19 +140,9 @@ class ResidencyManager::Table : public ResidencyPolicy {
     mgr_->AdmitRange(s, s.base + off, static_cast<size_t>(end - off));
   }
 
-  int64_t RowsInShard(int64_t si) const {
-    if (static_cast<int64_t>(row_begins_.size()) == n_ + 1) {
-      return row_begins_[static_cast<size_t>(si + 1)] -
-             row_begins_[static_cast<size_t>(si)];
-    }
-    return rows_per_shard_;  // uniform tiling (over-counts the last shard)
-  }
-
   ResidencyManager* mgr_;
   std::string name_;
-  int64_t rows_per_shard_;
-  std::vector<int64_t> row_begins_;
-  int64_t n_;
+  ShardTiling tiling_;
   std::unique_ptr<ResidencyShardState[]> shards_;
 };
 
@@ -256,19 +208,6 @@ void ResidencyManager::Start() {
       first = false;
     }
   });
-}
-
-void ResidencyManager::DemandAdmit(ResidencyShardState& s) {
-  bool expected = false;
-  if (!s.resident.compare_exchange_strong(expected, true,
-                                          std::memory_order_relaxed)) {
-    return;  // another thread already re-admitted it
-  }
-  cold_faults_.fetch_add(1, std::memory_order_relaxed);
-  ColdFaultCounter()->Add(1);
-  Advise(s, MADV_WILLNEED);
-  prefetch_issued_.fetch_add(1, std::memory_order_relaxed);
-  PrefetchCounter()->Add(1);
 }
 
 void ResidencyManager::AdmitRange(ResidencyShardState& s, const uint8_t* addr,
@@ -351,11 +290,9 @@ void ResidencyManager::SweepOnce(bool warm_kept) {
   sweeps_.fetch_add(1, std::memory_order_relaxed);
 }
 
-ResidencyPolicy* ResidencyManager::TableHook(const std::string& table) {
-  for (const auto& t : tables_) {
-    if (t->name() == table) return t.get();
-  }
-  return nullptr;
+void ResidencyManager::WillGather(size_t table, const int64_t* ids,
+                                  int64_t n) {
+  tables_[table]->WillGather(ids, n);
 }
 
 ResidencyStats ResidencyManager::stats() const {

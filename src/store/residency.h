@@ -1,6 +1,7 @@
 #ifndef BOOTLEG_STORE_RESIDENCY_H_
 #define BOOTLEG_STORE_RESIDENCY_H_
 
+#include <algorithm>
 #include <atomic>
 #include <condition_variable>
 #include <cstdint>
@@ -40,25 +41,40 @@ struct ResidencyStats {
   int64_t sweeps = 0;            // clock passes completed
 };
 
-/// The seam between a StoreView and the residency machinery: mapped views
-/// report the rows a gather is about to touch (batch-ahead) and individual
-/// shard accesses (zero-copy row-pointer path). Implementations are purely
-/// advisory — they may issue madvise() on the mapped ranges but never change
-/// a single gathered byte. Heap views have no policy and every hook is a
-/// no-op there.
-class ResidencyPolicy {
- public:
-  virtual ~ResidencyPolicy() = default;
+/// How one table's rows tile its shards: shard `s` holds rows
+/// [row_begins[s], row_begins[s+1]), and row_begins.back() is the row count.
+/// A flat export tiles uniformly (`rows_per_shard` > 0: every shard but the
+/// last holds exactly that many rows, the last no more), so a lookup is one
+/// divide; the ragged tilings a delta chain produces (`rows_per_shard` == 0)
+/// binary-search the boundaries instead.
+struct ShardTiling {
+  int64_t rows_per_shard = 0;
+  std::vector<int64_t> row_begins;
 
-  /// Rows ids[0..n) of this policy's table are about to be gathered. Bumps
-  /// the popularity of every touched shard and, for any touched shard the
-  /// clock previously evicted, issues MADV_WILLNEED over just the row range
-  /// the batch touches — the advisory cost scales with the batch, not the
-  /// shard, and the pages are in flight before the gather loop reaches them.
-  virtual void WillGather(const int64_t* ids, int64_t n) = 0;
+  int64_t shards() const {
+    return static_cast<int64_t>(row_begins.size()) - 1;
+  }
+  int64_t rows_in(int64_t shard) const {
+    return row_begins[static_cast<size_t>(shard + 1)] -
+           row_begins[static_cast<size_t>(shard)];
+  }
 
-  /// One row of shard `shard` is being read (RowPtr / single GatherRow).
-  virtual void NoteRow(int64_t shard) = 0;
+  /// The shard holding row `id` (0 <= id < row_begins.back()); `local`
+  /// receives the row's index within that shard. The store's one row → shard
+  /// lookup: the mapped views and the residency manager both call it.
+  int64_t Locate(int64_t id, int64_t* local) const {
+    int64_t shard;
+    if (rows_per_shard > 0) {
+      shard = id / rows_per_shard;
+    } else {
+      shard = static_cast<int64_t>(std::upper_bound(row_begins.begin(),
+                                                    row_begins.end(), id) -
+                                   row_begins.begin()) -
+              1;
+    }
+    *local = id - row_begins[static_cast<size_t>(shard)];
+    return shard;
+  }
 };
 
 struct ResidencyShardState;  // per-shard clock state (internal)
@@ -71,15 +87,17 @@ struct ResidencyShardSpec {
 };
 
 /// One table's shard geometry, mirrored from the store's mapped layout so
-/// the per-row hooks can locate shards without reaching back into the store.
+/// the gather hook can locate shards without reaching back into the store.
 struct ResidencyTableSpec {
   std::string name;
-  int64_t rows_per_shard = 0;        // 0 = ragged tiling (binary search)
-  std::vector<int64_t> row_begins;   // shards+1 cumulative boundaries
+  ShardTiling tiling;
   std::vector<ResidencyShardSpec> shards;
 };
 
 /// Popularity-clock residency manager for one mapped store generation.
+/// Traffic reaches it only in batches: each mapped-view GatherRows call hands
+/// its id list to WillGather once, which counts popularity and re-admits the
+/// evicted shards the batch touches; the clock sweep evicts.
 ///
 /// Ownership and generation-swap safety: an EmbeddingStore owns its manager
 /// and destroys it (joining the sweeper) before any shard unmaps, and the
@@ -88,11 +106,11 @@ struct ResidencyTableSpec {
 /// mappings that are still pinned. The manager never touches another
 /// generation's memory.
 ///
-/// Concurrency: gather threads call the per-table ResidencyPolicy hooks
-/// (relaxed atomics plus a CAS-guarded demand re-admission); the sweeper
-/// (or a test calling SweepOnce) ranks and applies advisory deltas under an
-/// internal mutex. Advisories never change mapped bytes — the mappings are
-/// read-only and file-backed, so an evicted page reloads bit-identically.
+/// Concurrency: gather threads call WillGather (relaxed atomics plus a
+/// CAS-guarded re-admission); the sweeper (or a test calling SweepOnce)
+/// ranks and applies advisory deltas under an internal mutex. Advisories
+/// never change mapped bytes — the mappings are read-only and file-backed,
+/// so an evicted page reloads bit-identically.
 class ResidencyManager {
  public:
   ResidencyManager(const ResidencyOptions& options,
@@ -123,8 +141,14 @@ class ResidencyManager {
   /// estimate via EstimateResidentBytes.
   void SweepOnce(bool warm_kept = false);
 
-  /// The view-facing policy hook for `table`, or nullptr if unknown.
-  ResidencyPolicy* TableHook(const std::string& table);
+  /// Rows ids[0..n) of table `table` (an index into the specs this manager
+  /// was built from) are about to be gathered; a mapped view calls this once
+  /// per GatherRows batch. Bumps the popularity of every touched shard and,
+  /// for any touched shard the clock evicted, re-admits it and issues
+  /// MADV_WILLNEED over just the row span the batch touches, so the advisory
+  /// cost scales with the batch, not the shard, and the pages are in flight
+  /// before the gather loop reaches them.
+  void WillGather(size_t table, const int64_t* ids, int64_t n);
 
   ResidencyStats stats() const;
 
@@ -136,13 +160,6 @@ class ResidencyManager {
 
  private:
   class Table;
-
-  /// Re-admits an evicted shard that traffic just touched: counts the cold
-  /// fault and issues MADV_WILLNEED over the whole shard so the rest of the
-  /// batch reads warm pages. CAS-guarded so racing gather threads admit
-  /// once. This is the un-batched (RowPtr / single GatherRow) fallback;
-  /// batched gathers go through AdmitRange with a tighter span.
-  void DemandAdmit(ResidencyShardState& s);
 
   /// Batch-ahead re-admission: flips the shard resident (counting the cold
   /// fault exactly once across racing threads) and MADV_WILLNEEDs only
@@ -169,8 +186,6 @@ class ResidencyManager {
   std::condition_variable stop_cv_;
   bool stopping_ = false;
   std::thread sweeper_;
-
-  friend class ResidencyManagerTestPeer;
 };
 
 }  // namespace bootleg::store

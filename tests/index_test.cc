@@ -608,8 +608,8 @@ TEST(LiveIndexTest, CompactFoldsChainIntoFlatBitIdenticalGeneration) {
   std::vector<float> want(static_cast<size_t>(cols));
   std::vector<float> got(static_cast<size_t>(cols));
   for (int64_t r = 0; r < chain_view.value()->rows(); ++r) {
-    chain_view.value()->GatherRow(r, want.data());
-    flat_view.value()->GatherRow(r, got.data());
+    chain_view.value()->GatherRows(&r, 1, want.data());
+    flat_view.value()->GatherRows(&r, 1, got.data());
     ASSERT_EQ(std::memcmp(want.data(), got.data(),
                           static_cast<size_t>(cols) * sizeof(float)),
               0)

@@ -1,6 +1,7 @@
 // Embedding-store subsystem: int8 quantization must round-trip within the
 // per-row half-step bound, float stores must reproduce their source bytes
-// exactly, every corrupted shard or manifest variant (truncation, byte flip,
+// exactly, every view kind must gather a batch exactly as it gathers each id
+// alone, every corrupted shard or manifest variant (truncation, byte flip,
 // trailing garbage) must fail with kCorruption and never crash, the
 // generation scan must pick the newest servable directory and skip corrupt
 // ones, and an engine serving from a float store must be bit-identical to
@@ -14,9 +15,11 @@
 #include <chrono>
 #include <filesystem>
 #include <fstream>
+#include <memory>
 #include <shared_mutex>
 #include <string>
 #include <thread>
+#include <tuple>
 #include <utility>
 #include <vector>
 
@@ -26,6 +29,7 @@
 #include "data/example.h"
 #include "data/generator.h"
 #include "data/world.h"
+#include "obs/metrics.h"
 #include "serve/inference_engine.h"
 #include "store/embedding_store.h"
 #include "util/crc32.h"
@@ -138,19 +142,14 @@ TEST(EmbeddingStoreTest, FloatStoreRoundTripsBitExactly) {
 
   auto view = es.View("static");
   ASSERT_TRUE(view.ok());
-  std::vector<float> got(static_cast<size_t>(cols));
-  for (int64_t r = 0; r < rows; ++r) {
-    // Zero-copy pointer must exist for float storage and match the source
-    // bytes exactly (the bit-identical serving guarantee rests on this).
-    const float* p = view.value()->RowPtr(r);
-    ASSERT_NE(p, nullptr);
-    view.value()->GatherRow(r, got.data());
-    for (int64_t j = 0; j < cols; ++j) {
-      const float want = data[static_cast<size_t>(r * cols + j)];
-      EXPECT_EQ(p[j], want) << "row " << r << " col " << j;
-      EXPECT_EQ(got[static_cast<size_t>(j)], want);
-    }
-  }
+  // Every row must reproduce the source bytes exactly (the bit-identical
+  // serving guarantee rests on this).
+  std::vector<int64_t> ids(static_cast<size_t>(rows));
+  for (int64_t r = 0; r < rows; ++r) ids[static_cast<size_t>(r)] = r;
+  std::vector<float> got(data.size());
+  view.value()->GatherRows(ids.data(), rows, got.data());
+  EXPECT_EQ(std::memcmp(got.data(), data.data(), data.size() * sizeof(float)),
+            0);
   EXPECT_FALSE(es.View("missing").ok());
 }
 
@@ -179,11 +178,10 @@ TEST(EmbeddingStoreTest, Int8StoreRoundTripsWithinRecordedErrorBound) {
 
   auto view = opened.value()->View("static");
   ASSERT_TRUE(view.ok());
-  EXPECT_EQ(view.value()->RowPtr(0), nullptr);  // int8 has no raw float rows
   std::vector<float> got(static_cast<size_t>(cols));
   double max_err = 0.0;
   for (int64_t r = 0; r < rows; ++r) {
-    view.value()->GatherRow(r, got.data());
+    view.value()->GatherRows(&r, 1, got.data());
     float row_max = 0.0f;
     for (int64_t j = 0; j < cols; ++j) {
       row_max =
@@ -204,51 +202,6 @@ TEST(EmbeddingStoreTest, Int8StoreRoundTripsWithinRecordedErrorBound) {
   }
   // The manifest's recorded maximum must match what the mapped rows deliver.
   EXPECT_NEAR(max_err, info->max_abs_error, 1e-7);
-}
-
-TEST(EmbeddingStoreTest, BatchGatherRowsIsBitIdenticalToPerRowGather) {
-  // GatherRows is the model's hot serving path; its contract is bitwise
-  // equality with n GatherRow calls for any id order, including repeats,
-  // shard boundaries, and batches shorter than its prefetch window.
-  const std::string dir = TestDir("batch_gather");
-  const int64_t rows = 101, cols = 37;  // uneven shards, odd row width
-  const std::vector<float> data = RandomTable(rows, cols, 33, 2.0f);
-
-  for (const store::Dtype dtype :
-       {store::Dtype::kFloat32, store::Dtype::kInt8}) {
-    store::WriteOptions options;
-    options.dtype = dtype;
-    options.shards = 4;
-    const std::string sub = dir + "/" + store::DtypeName(dtype);
-    ASSERT_TRUE(
-        store::WriteStore(sub, {{"static", data.data(), rows, cols}}, options)
-            .ok());
-    auto opened = store::EmbeddingStore::Open(sub);
-    ASSERT_TRUE(opened.ok()) << opened.status().ToString();
-    auto view = opened.value()->View("static");
-    ASSERT_TRUE(view.ok());
-
-    // Ids crossing every shard boundary, repeating, and out of order.
-    std::vector<int64_t> ids;
-    util::Rng rng(91);
-    for (int i = 0; i < 400; ++i) ids.push_back(rng.UniformInt(0, rows - 1));
-    ids.push_back(0);
-    ids.push_back(rows - 1);
-    for (const int64_t n :
-         {int64_t{1}, int64_t{3}, int64_t{40},
-          static_cast<int64_t>(ids.size())}) {
-      std::vector<float> batch(static_cast<size_t>(n * cols), -1.0f);
-      view.value()->GatherRows(ids.data(), n, batch.data());
-      std::vector<float> row(static_cast<size_t>(cols));
-      for (int64_t i = 0; i < n; ++i) {
-        view.value()->GatherRow(ids[static_cast<size_t>(i)], row.data());
-        ASSERT_EQ(std::memcmp(row.data(), batch.data() + i * cols,
-                              static_cast<size_t>(cols) * sizeof(float)),
-                  0)
-            << store::DtypeName(dtype) << " batch n=" << n << " row " << i;
-      }
-    }
-  }
 }
 
 // --- Corruption fuzzing ------------------------------------------------------
@@ -454,7 +407,7 @@ TEST(StoreFuzzTest, NonUniformTilingsOpenAndGatherEveryRow) {
     ASSERT_TRUE(view.ok()) << view.status().ToString();
     std::vector<float> row(static_cast<size_t>(cols));
     for (int64_t r = 0; r < rows; ++r) {
-      view.value()->GatherRow(r, row.data());
+      view.value()->GatherRows(&r, 1, row.data());
       for (int64_t c = 0; c < cols; ++c) {
         ASSERT_EQ(row[c], data[r * cols + c]) << "row " << r << " col " << c;
       }
@@ -477,6 +430,88 @@ TEST(StoreFuzzTest, NonUniformTilingsOpenAndGatherEveryRow) {
     const util::Status st = OpenAndVerify(dir);
     ASSERT_FALSE(st.ok()) << b.name;
     EXPECT_EQ(st.code(), util::StatusCode::kCorruption) << b.name;
+  }
+}
+
+// --- One gather path ---------------------------------------------------------
+
+TEST(StoreViewTest, BatchGatherEqualsGatheringEachIdAloneInEveryView) {
+  // GatherRows is the only way a row leaves a view. In every kind of view —
+  // heap rows, a mapped float32 or int8 store on the writer's uniform
+  // 8-shard tiling, and a ragged tiling as a delta chain leaves it — a batch
+  // of repeated, out-of-order ids that straddle every shard boundary must
+  // equal gathering each id alone, byte for byte, at batch sizes below and
+  // above the prefetch windows. Float rows must also equal the source.
+  const int64_t rows = 101, cols = 37;  // uneven shards, odd row width
+  const std::vector<float> data = RandomTable(rows, cols, 33, 2.0f);
+  const std::string dir = TestDir("one_gather_path");
+  store::WriteOptions options;
+  options.shards = 8;  // 13-row tiles, a 10-row last shard
+  for (const store::Dtype dtype :
+       {store::Dtype::kFloat32, store::Dtype::kInt8}) {
+    options.dtype = dtype;
+    ASSERT_TRUE(store::WriteStore(dir + "/" + store::DtypeName(dtype),
+                                  {{"static", data.data(), rows, cols}},
+                                  options)
+                    .ok());
+  }
+  const std::string ragged = TestDir("one_gather_path_ragged");
+  CraftStore(ragged, data, rows, cols, {{0, 90}, {90, 7}, {97, 3}, {100, 1}});
+
+  struct Case {
+    std::string name;
+    std::shared_ptr<const store::StoreView> view;
+    bool exact;  // rows are the source floats
+  };
+  std::vector<Case> cases = {
+      {"heap", std::make_shared<store::HeapView>(data.data(), rows, cols),
+       true}};
+  std::vector<std::unique_ptr<store::EmbeddingStore>> stores;  // the mappings
+  for (const auto& [name, path, exact] :
+       std::vector<std::tuple<std::string, std::string, bool>>{
+           {"float32", dir + "/float32", true},
+           {"int8", dir + "/int8", false},
+           {"ragged float32", ragged, true}}) {
+    auto opened = store::EmbeddingStore::Open(path);
+    ASSERT_TRUE(opened.ok()) << name << ": " << opened.status().ToString();
+    stores.push_back(std::move(opened.value()));
+    auto view = stores.back()->View("static");
+    ASSERT_TRUE(view.ok()) << name;
+    cases.push_back({name, view.value(), exact});
+  }
+
+  std::vector<int64_t> ids;
+  for (const int64_t boundary : {13, 26, 39, 52, 65, 78, 90, 91, 97, 100}) {
+    ids.push_back(boundary);
+    ids.push_back(boundary - 1);
+  }
+  ids.push_back(0);
+  ids.push_back(rows - 1);
+  util::Rng rng(91);
+  for (int i = 0; i < 400; ++i) ids.push_back(rng.UniformInt(0, rows - 1));
+
+  const size_t row_bytes = static_cast<size_t>(cols) * sizeof(float);
+  std::vector<float> row(static_cast<size_t>(cols));
+  for (const Case& c : cases) {
+    ASSERT_EQ(c.view->rows(), rows) << c.name;
+    ASSERT_EQ(c.view->cols(), cols) << c.name;
+    for (const int64_t n : {int64_t{1}, int64_t{3}, int64_t{40},
+                            static_cast<int64_t>(ids.size())}) {
+      std::vector<float> batch(static_cast<size_t>(n * cols), -1.0f);
+      c.view->GatherRows(ids.data(), n, batch.data());
+      for (int64_t i = 0; i < n; ++i) {
+        const int64_t id = ids[static_cast<size_t>(i)];
+        c.view->GatherRows(&id, 1, row.data());
+        ASSERT_EQ(std::memcmp(row.data(), batch.data() + i * cols, row_bytes),
+                  0)
+            << c.name << " n=" << n << " row " << i << " id " << id;
+        if (c.exact) {
+          ASSERT_EQ(std::memcmp(row.data(), data.data() + id * cols, row_bytes),
+                    0)
+              << c.name << " id " << id;
+        }
+      }
+    }
   }
 }
 
@@ -657,6 +692,29 @@ TEST(StoreEngineTest, FloatStoreServingIsBitIdenticalToHeapPath) {
   util::ThreadPool::ResetGlobal(1);
 }
 
+TEST(StoreEngineTest, MappedGatherCountsEachCandidateRowOnce) {
+  // store.gather_rows counts the rows mapped views serve: one PredictBatch
+  // over a float32 store adds exactly the batch's candidate-row count.
+  const std::vector<data::SentenceExample> examples = DevExamples();
+  auto engine = MakeEngine(GetStoreWorld().store_root + "/gen_000001");
+  std::vector<const data::SentenceExample*> batch;
+  int64_t candidate_rows = 0;
+  for (const data::SentenceExample& ex : examples) {
+    batch.push_back(&ex);
+    if (ex.token_ids.empty()) continue;  // the forward skips such sentences
+    for (const data::MentionExample& m : ex.mentions) {
+      candidate_rows += static_cast<int64_t>(m.candidates.size());
+    }
+  }
+  ASSERT_GT(candidate_rows, 0);
+  const obs::Counter* gathered =
+      obs::MetricsRegistry::Global().GetCounter("store.gather_rows");
+  core::BootlegModel::InferenceScratch scratch;
+  const int64_t before = gathered->value();
+  engine->PredictExamples(batch, &scratch);
+  EXPECT_EQ(gathered->value() - before, candidate_rows);
+}
+
 TEST(StoreEngineTest, Int8StoreMatchesArgmaxOnSyntheticWorld) {
   const std::vector<data::SentenceExample> examples = DevExamples();
   auto heap_engine = MakeEngine("");
@@ -791,10 +849,9 @@ TEST(ResidencyTest, AdvisoriesNeverChangeGatherResults) {
     managed->EnableResidency(ro);
     ASSERT_NE(managed->residency(), nullptr);
 
+    EXPECT_EQ(unmanaged->residency(), nullptr);  // unmanaged: no manager
     auto uview = std::move(unmanaged->View("static").value());
     auto mview = std::move(managed->View("static").value());
-    EXPECT_EQ(uview->residency_policy(), nullptr);  // unmanaged: no hooks
-    ASSERT_NE(mview->residency_policy(), nullptr);
 
     // Zipf-flavored id stream: every row once, plus a hot head revisited.
     std::vector<int64_t> ids;
@@ -809,15 +866,14 @@ TEST(ResidencyTest, AdvisoriesNeverChangeGatherResults) {
     std::vector<float> grow(static_cast<size_t>(cols));
     for (int pass = 0; pass < 4; ++pass) {
       uview->GatherRows(ids.data(), n, want.data());
-      mview->WillGather(ids.data(), n);  // batch-ahead advisory
       mview->GatherRows(ids.data(), n, got.data());
       ASSERT_EQ(std::memcmp(want.data(), got.data(),
                             want.size() * sizeof(float)),
                 0)
           << "pass=" << pass << " dtype=" << store::DtypeName(dtype);
       for (int64_t id = 0; id < rows; ++id) {
-        uview->GatherRow(id, wrow.data());
-        mview->GatherRow(id, grow.data());
+        uview->GatherRows(&id, 1, wrow.data());
+        mview->GatherRows(&id, 1, grow.data());
         ASSERT_EQ(
             std::memcmp(wrow.data(), grow.data(), wrow.size() * sizeof(float)),
             0)
@@ -858,8 +914,7 @@ TEST(ResidencyTest, BudgetEdgeCases) {
       store::WriteStore(dir, {{"static", data.data(), rows, cols}}, options)
           .ok());
 
-  // budget = 0: management stays off entirely — no manager, zeroed stats,
-  // views carry no hooks.
+  // budget = 0: management stays off entirely — no manager, zeroed stats.
   {
     auto store = std::move(store::EmbeddingStore::Open(dir).value());
     store::ResidencyOptions ro;
@@ -868,9 +923,9 @@ TEST(ResidencyTest, BudgetEdgeCases) {
     EXPECT_EQ(store->residency(), nullptr);
     EXPECT_EQ(store->residency_stats().budget_bytes, 0);
     auto view = std::move(store->View("static").value());
-    EXPECT_EQ(view->residency_policy(), nullptr);
     std::vector<float> row(static_cast<size_t>(cols));
-    view->GatherRow(0, row.data());
+    const int64_t first = 0;
+    view->GatherRows(&first, 1, row.data());
     EXPECT_EQ(std::memcmp(row.data(), data.data(), row.size() * sizeof(float)),
               0);
   }

@@ -13,8 +13,9 @@
 #      robustness, and the tensor kernels (the probe still runs the SIMD
 #      tiles there, on its shapes, before rejecting them at -O1), autograd,
 #      the kernel path, whose vector tanh runs at -O1 too, the layers and
-#      their segment attention, the word encoder, the model, and the
-#      checkpoint reader.
+#      their segment attention, the word encoder, the model, the
+#      checkpoint reader, and the store (its shard lookup, the residency
+#      manager's madvise span arithmetic, corrupt-store fuzzing).
 #   3. TSan build: checkpointed data-parallel training + parallel + serve +
 #      the kernel path + the model + the layers and the word encoder +
 #      tensor storage handed across threads and concurrent backward walks
@@ -107,15 +108,15 @@ if [[ "$SKIP_SAN" == "0" ]]; then
     ./build-asan/tests/"$t" >/dev/null
   done
 
-  echo "==> [2/11] UBSan: serve + net + io fuzz + robust + index + kernels"
+  echo "==> [2/11] UBSan: serve + net + io fuzz + robust + index + store + kernels"
   cmake -B build-ubsan -S . -DBOOTLEG_SANITIZE=undefined >/dev/null
   cmake --build build-ubsan -j"$JOBS" \
     --target serve_test net_test io_fuzz_test robust_test index_test \
              parallel_test tensor_test autograd_test backend_test \
-             core_test nn_test text_test checkpoint_test >/dev/null
+             core_test nn_test text_test checkpoint_test store_test >/dev/null
   for t in serve_test net_test io_fuzz_test robust_test index_test \
            parallel_test tensor_test autograd_test backend_test core_test \
-           nn_test text_test checkpoint_test; do
+           nn_test text_test checkpoint_test store_test; do
     echo "  ubsan: $t"
     UBSAN_OPTIONS=print_stacktrace=1 ./build-ubsan/tests/"$t" >/dev/null
   done

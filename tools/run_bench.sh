@@ -6,11 +6,12 @@
 #      rows that drive real TCP connections through the epoll front end;
 #      throughput + p50/p95/p99. The net rows are the connection-scaling
 #      check: net_c256 throughput is expected to hold at or above net_c16.)
-#   3. observability suite -> BENCH_obs.json     (disabled/enabled span cost,
-#      disabled-span overhead on MatMul/128, and a traced train+serve
-#      workload's per-stage wall-time breakdown)
-#   4. embedding store     -> BENCH_store.json   (gather ns/row for heap vs
-#      mmap-float vs mmap-int8, resident-memory reduction, end-to-end
+#   3. observability suite -> BENCH_obs.json     (disabled/enabled span cost
+#      and the disabled-span overhead on MatMul/128; a workload's per-stage
+#      breakdown is `python3 repobench/run.py --trace 1`)
+#   4. embedding store     -> BENCH_store.json   (gather ns/row through
+#      GatherRows in 64-row chunks for heap vs mmap-float vs mmap-int8,
+#      resident-memory reduction, end-to-end
 #      serve-path overhead of store-backed engines, the residency scenario:
 #      chunk-gather p50/p99 + resident bytes for a budgeted popularity-clock
 #      store vs unmanaged mmap under Zipf traffic, and the store_delta
